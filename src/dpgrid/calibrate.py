@@ -29,6 +29,7 @@ from .adversary import AttackProfile, optimal_impact
 from .laplace import PrivacyParams
 
 _ROUND_TRIP_RTOL = 1e-6
+_MAX_GAMMA = 1e9
 
 
 class BoundaryCase(Enum):
@@ -43,7 +44,9 @@ class DesignSpec:
     """Inputs to the calibration.
 
     max_deviation is the largest tolerable attacker mean shift,
-    expressed in release units above theta.
+    expressed in release units above theta.  gamma must lie in
+    (0, 1e9]: above that bound the attacker's tilt solve loses the
+    precision the calibration round trip needs.
     """
 
     sensitivity: float
@@ -56,6 +59,8 @@ class DesignSpec:
             raise ValueError(f"sensitivity must be finite and non-negative, got {self.sensitivity}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if self.gamma > _MAX_GAMMA:
+            raise ValueError(f"gamma must be at most {_MAX_GAMMA:g}, got {self.gamma}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         if not (math.isfinite(self.max_deviation) and self.max_deviation > 0.0):

@@ -5,9 +5,10 @@ an impact cap, evaluate attacker impact, sweep parameter grids,
 simulate a measurement tree, price the defense in forecast space,
 benchmark manipulation cost, and generate synthetic inputs.
 
-Every emitted file and JSON document carries a config hash derived
-from the resolved parameters, so outputs can be traced back to the
-exact invocation.  Exit status: 0 on success, 2 on usage or validation
+Every emitted file and JSON document carries a config hash of the
+parsed arguments, output paths excepted, with input files entering by
+the sha256 of their bytes, so outputs can be traced back to the exact
+invocation.  Exit status: 0 on success, 2 on usage or validation
 errors.
 """
 
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .adversary import AttackProfile
 from .bench import run_bench
@@ -39,23 +40,29 @@ from .seeds import derive_seed
 from .series import export_csv, ingest_csv, resample, synth_pmu
 
 OUTPUT_DIR_ENV = "DPGRID_OUTPUT_DIR"
+# Arguments that name where outputs go, not what they contain.
+_UNHASHED_ARGS = ("func", "out", "trace_out", "export_series")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI invocation."""
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
-    command: str
-    params: dict
-    seed: int
 
-    @property
-    def config_hash(self) -> str:
-        canonical = json.dumps(
-            {"command": self.command, "params": self.params, "seed": self.seed},
-            sort_keys=True,
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+def _config_hash(args: argparse.Namespace) -> str:
+    """Hash of every parsed argument except output paths.
+
+    Input files enter by the sha256 of their bytes, so two runs share a
+    hash only if they read the same data with the same settings.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _UNHASHED_ARGS}
+    if "topology" in params:
+        params["topology"] = _file_sha256(args.topology)
+    if params.get("series"):
+        # Mirrors the series map the simulation builds: the last file per node wins.
+        params["series"] = {node: _file_sha256(path) for node, path in args.series}
+    canonical = json.dumps(params, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _resolve_out(path: str) -> str:
@@ -91,17 +98,7 @@ def _series_assignment(text: str) -> tuple:
     return node, path
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="calibrate",
-        params={
-            "sensitivity": args.sensitivity,
-            "gamma": args.gamma,
-            "theta": args.theta,
-            "max_deviation": args.max_deviation,
-        },
-        seed=0,
-    )
+def _cmd_calibrate(args: argparse.Namespace, config_hash: str) -> int:
     spec = DesignSpec(
         sensitivity=args.sensitivity,
         gamma=args.gamma,
@@ -109,22 +106,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         max_deviation=args.max_deviation,
     )
     result = calibrate_epsilon(spec)
-    payload = {**asdict(result), "config_hash": config.config_hash}
+    payload = {**asdict(result), "config_hash": config_hash}
     _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_impact(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="impact",
-        params={
-            "epsilon": args.epsilon,
-            "gamma": args.gamma,
-            "sensitivity": args.sensitivity,
-            "theta": args.theta,
-        },
-        seed=0,
-    )
+def _cmd_impact(args: argparse.Namespace, config_hash: str) -> int:
     base = PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon, theta=args.theta)
     profile = AttackProfile.solve(args.gamma, base)
     payload = {
@@ -136,104 +123,66 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         "k1": profile.k1,
         "mu_star": profile.mu_star,
         "deviation": profile.mean_shift,
-        "config_hash": config.config_hash,
+        "config_hash": config_hash,
     }
     _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="sweep",
-        params={
-            "epsilons": args.epsilons,
-            "gammas": args.gammas,
-            "sensitivities": args.sensitivities,
-            "theta": args.theta,
-        },
-        seed=0,
-    )
+def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
     points = impact_sweep(args.epsilons, args.gammas, args.sensitivities, theta=args.theta)
     out = _resolve_out(args.out)
-    sweep_to_csv(points, out, metadata={"config_hash": config.config_hash})
-    _emit_json({"rows": len(points), "out": out, "config_hash": config.config_hash}, None)
+    sweep_to_csv(points, out, metadata={"config_hash": config_hash})
+    _emit_json({"rows": len(points), "out": out, "config_hash": config_hash}, None)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="simulate",
-        params={
-            "topology": os.path.basename(args.topology),
-            "kind": args.kind,
-            "tau": args.tau,
-            "window": args.window,
-            "synth_days": args.synth_days,
-            "n_runs": args.n_runs,
-        },
-        seed=args.seed,
-    )
+def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
+    if args.n_runs and args.tau is None:
+        raise ValueError("--n-runs estimates detection rates and needs a detector: set --tau")
     topology = load_topology(args.topology)
     series_map = {node: ingest_csv(path) for node, path in args.series or []}
     if args.synth_days:
         for pmu in topology.pmu_ids():
             if pmu not in series_map:
                 series_map[pmu] = synth_pmu(
-                    days=args.synth_days,
-                    missing_fraction=args.synth_missing,
-                    seed=derive_seed(args.seed, "synth", pmu),
+                    days=args.synth_days, seed=derive_seed(args.seed, "synth", pmu)
                 )
     detector = None
     if args.tau is not None:
         detector = Detector(tau=args.tau, window=args.window)
     trace = run_query(topology, series_map, args.kind, detector, seed=args.seed)
     payload = trace.summary()
-    payload["config_hash"] = config.config_hash
-    if detector is not None and args.n_runs:
+    payload["config_hash"] = config_hash
+    if args.n_runs:
         rates = detection_rate(topology, series_map, args.kind, detector, args.n_runs, args.seed)
         payload["detection"] = asdict(rates)
     if args.trace_out:
         trace_path = _resolve_out(args.trace_out)
-        trace.to_csv(trace_path, metadata={"config_hash": config.config_hash})
+        trace.to_csv(trace_path, metadata={"config_hash": config_hash})
         payload["trace_out"] = trace_path
     _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_qos(args: argparse.Namespace) -> int:
-    if args.attack_start is None:
-        args.attack_start = max(0, args.days - 78)
-    if args.attack_end is None:
-        args.attack_end = max(0, args.days - 48)
-    config = RunConfig(
-        command="qos",
-        params={
-            "epsilon": args.epsilon,
-            "gamma": args.gamma,
-            "sensitivity": args.sensitivity,
-            "days": args.days,
-            "attack_start": args.attack_start,
-            "attack_end": args.attack_end,
-            "season_length": args.season_length,
-            "horizon": args.horizon,
-        },
-        seed=args.seed,
-    )
+def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
+    # The default window depends only on --days, so the hash of the
+    # unresolved None still names one output.
+    start = max(0, args.days - 78) if args.attack_start is None else args.attack_start
+    end = max(0, args.days - 48) if args.attack_end is None else args.attack_end
     hourly = synth_pmu(days=args.days, seed=derive_seed(args.seed, "qos-series"))
     original = resample(hourly, "day", how="sum")  # daily energy totals
     params = PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon)
     dp_variant = dp_protect(original, params, seed=args.seed)
     profile = AttackProfile.solve(args.gamma, params)
-    fdi_variant = inject_attack(
-        dp_variant, profile, (args.attack_start, args.attack_end), seed=args.seed
-    )
+    fdi_variant = inject_attack(dp_variant, profile, (start, end), seed=args.seed)
     cfg = ForecastConfig(horizon=args.horizon, season_length=args.season_length)
     report = cost_analysis(original, dp_variant, fdi_variant, cfg, epsilon=args.epsilon)
-    payload = {**asdict(report), "config_hash": config.config_hash}
+    payload = {**asdict(report), "config_hash": config_hash}
     if args.export_series:
         directory = _resolve_out(args.export_series)
         os.makedirs(directory, exist_ok=True)
-        meta = {"config_hash": config.config_hash}
+        meta = {"config_hash": config_hash}
         for name, variant in (
             ("original", original), ("dp", dp_variant), ("fdi_dp", fdi_variant)
         ):
@@ -243,18 +192,7 @@ def _cmd_qos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="bench",
-        params={
-            "batch_size": args.batch_size,
-            "reps": args.reps,
-            "gamma": args.gamma,
-            "epsilon": args.epsilon,
-            "sensitivity": args.sensitivity,
-        },
-        seed=args.seed,
-    )
+def _cmd_bench(args: argparse.Namespace, config_hash: str) -> int:
     days = max(1, math.ceil(args.batch_size / 24))
     series = synth_pmu(days=days, seed=derive_seed(args.seed, "bench-batch"))
     batch = series.values[: args.batch_size]
@@ -263,22 +201,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     result = run_bench(batch, reps=args.reps, seed=args.seed, attacker=attacker)
     payload = result.to_dict()
-    payload["config_hash"] = config.config_hash
+    payload["config_hash"] = config_hash
     _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="synth",
-        params={
-            "days": args.days,
-            "noise_level": args.noise_level,
-            "missing_fraction": args.missing_fraction,
-            "start": args.start,
-        },
-        seed=args.seed,
-    )
+def _cmd_synth(args: argparse.Namespace, config_hash: str) -> int:
     series = synth_pmu(
         days=args.days,
         noise_level=args.noise_level,
@@ -287,8 +215,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         start=args.start,
     )
     out = _resolve_out(args.out)
-    export_csv(series, out, metadata={"config_hash": config.config_hash})
-    _emit_json({"rows": len(series), "out": out, "config_hash": config.config_hash}, None)
+    export_csv(series, out, metadata={"config_hash": config_hash})
+    _emit_json({"rows": len(series), "out": out, "config_hash": config_hash}, None)
     return 0
 
 
@@ -329,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NODE=PATH")
     p.add_argument("--synth-days", type=int, default=None,
                    help="generate synthetic series for PMUs without one")
-    p.add_argument("--synth-missing", type=float, default=0.0)
     p.add_argument("--kind", choices=["hourly_mean", "sum"], default="hourly_mean")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--window", type=int, default=24)
@@ -380,7 +307,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config_hash(args))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "command": args.command}), file=sys.stderr)
         return 2

@@ -537,11 +537,26 @@ def _params_to_dict(params: PrivacyParams) -> dict:
     return {"sensitivity": params.sensitivity, "epsilon": params.epsilon, "theta": params.theta}
 
 
-def _params_from_dict(data: dict) -> PrivacyParams:
+def _expect(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        expected = "object" if kind is dict else "list"
+        raise ValueError(f"{field} must be a JSON {expected}, got {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+
+
+def _params_from_dict(data: dict, field: str) -> PrivacyParams:
+    _expect(data, dict, field)
     return PrivacyParams(
-        sensitivity=float(data["sensitivity"]),
-        epsilon=float(data["epsilon"]),
-        theta=float(data.get("theta", 0.0)),
+        sensitivity=_number(data["sensitivity"], f"{field}.sensitivity"),
+        epsilon=_number(data["epsilon"], f"{field}.epsilon"),
+        theta=_number(data.get("theta", 0.0), f"{field}.theta"),
     )
 
 
@@ -566,31 +581,45 @@ def topology_to_dict(topology: GridTopology) -> dict:
 
 
 def topology_from_dict(data: dict) -> GridTopology:
-    def parse_layer(name: str) -> Layer:
+    """Build a topology from its JSON form; ValueError names any malformed field."""
+
+    def parse_layer(name) -> Layer:
         try:
             return Layer[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(
                 f"unknown layer {name!r}; expected one of {[l.name for l in Layer]}"
             ) from None
 
-    nodes = tuple(Node(id=str(n["id"]), layer=parse_layer(n["layer"])) for n in data["nodes"])
+    _expect(data, dict, "topology")
+    nodes = []
+    for i, n in enumerate(_expect(data.get("nodes"), list, "topology.nodes")):
+        n = _expect(n, dict, f"topology.nodes[{i}]")
+        nodes.append(Node(id=str(n["id"]), layer=parse_layer(n["layer"])))
     edges = []
-    for e in data["edges"]:
+    for i, e in enumerate(_expect(data.get("edges"), list, "topology.edges")):
+        where = f"topology.edges[{i}]"
+        e = _expect(e, dict, where)
         attacker = None
         window = None
         if e.get("attacker") is not None:
-            spec = e["attacker"]
-            attacker = AttackProfile.solve(float(spec["gamma"]), _params_from_dict(spec))
+            spec = _expect(e["attacker"], dict, f"{where}.attacker")
+            attacker = AttackProfile.solve(
+                _number(spec["gamma"], f"{where}.attacker.gamma"),
+                _params_from_dict(spec, f"{where}.attacker"),
+            )
             if e.get("attack_window") is not None:
-                window = tuple(e["attack_window"])
+                field = f"{where}.attack_window"
+                window = tuple(_number(t, field) for t in _expect(e["attack_window"], list, field))
+                if len(window) != 2 or not all(map(math.isfinite, window)):
+                    raise ValueError(f"{field} must be [start, end], got {window!r}")
         edges.append(Edge(child=str(e["child"]), parent=str(e["parent"]),
                           attacker=attacker, attack_window=window))
     policy = {
-        parse_layer(name): _params_from_dict(params)
-        for name, params in data.get("dp_policy", {}).items()
+        parse_layer(name): _params_from_dict(params, f"topology.dp_policy.{name}")
+        for name, params in _expect(data.get("dp_policy", {}), dict, "topology.dp_policy").items()
     }
-    return GridTopology(nodes=nodes, edges=tuple(edges), dp_policy=policy)
+    return GridTopology(nodes=tuple(nodes), edges=tuple(edges), dp_policy=policy)
 
 
 def load_topology(path) -> GridTopology:

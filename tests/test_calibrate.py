@@ -58,6 +58,12 @@ def test_round_trip_exactness():
     assert profile.mean_shift == pytest.approx(12.5, rel=1e-9)
 
 
+def test_round_trip_at_large_stealth_budget():
+    spec = DesignSpec(sensitivity=2.0, gamma=3e7, theta=33.18, max_deviation=10.0)
+    result = calibrate_epsilon(spec)
+    assert result.predicted_impact == pytest.approx(43.18, rel=1e-6)
+
+
 def test_result_is_consistent_with_stealth_constraint():
     spec = DesignSpec(sensitivity=2.0, gamma=1.3, theta=5.0, max_deviation=40.0)
     result = calibrate_epsilon(spec)
@@ -116,6 +122,8 @@ def test_spec_validation():
         DesignSpec(sensitivity=1.0, gamma=1.0, theta=math.nan, max_deviation=1.0)
     with pytest.raises(ValueError):
         DesignSpec(sensitivity=1.0, gamma=1.0, theta=0.0, max_deviation=0.0)
+    with pytest.raises(ValueError):
+        DesignSpec(sensitivity=1.0, gamma=1e11, theta=0.0, max_deviation=1.0)
 
 
 def test_boundary_report_cases():

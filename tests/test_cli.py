@@ -168,6 +168,43 @@ def test_simulate_missing_series_fails_cleanly(capsys, topology_file):
     assert "pmu1" in payload["error"]
 
 
+def _simulate_hash(capsys, *argv):
+    code, out, _ = run_cli(capsys, ["simulate", *argv])
+    assert code == 0
+    return parse_json(out)["config_hash"]
+
+
+def test_simulate_config_hash_covers_inputs_not_output_paths(capsys, tmp_path):
+    from dpgrid.series import export_csv
+
+    chain = (Node("pmu1", Layer.PMU), Node("pdc1", Layer.PDC), Node("m", Layer.MASTER))
+    edges = (Edge("pmu1", "pdc1"), Edge("pdc1", "m"))
+    topologies = []
+    for name, policy in (("plain", {}), ("noisy", {Layer.PMU: PrivacyParams(2.0, 0.5)})):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "topo.json"
+        save_topology(GridTopology(nodes=chain, edges=edges, dp_policy=policy), path)
+        topologies.append(str(path))
+    plain, noisy = topologies
+    assert (_simulate_hash(capsys, "--topology", plain, "--synth-days", "2")
+            != _simulate_hash(capsys, "--topology", noisy, "--synth-days", "2"))
+
+    series = []
+    for seed in (1, 2):
+        path = tmp_path / f"series{seed}.csv"
+        export_csv(synth_pmu(days=2, seed=seed), path)
+        series.append(f"pmu1={path}")
+    first = _simulate_hash(capsys, "--topology", plain, "--series", series[0])
+    (tmp_path / "series1.csv").write_bytes((tmp_path / "series2.csv").read_bytes())
+    assert _simulate_hash(capsys, "--topology", plain, "--series", series[0]) != first
+
+    base = ["--topology", noisy, "--synth-days", "2", "--tau", "6.0"]
+    assert _simulate_hash(capsys, *base) == _simulate_hash(
+        capsys, *base, "--out", str(tmp_path / "run.json"),
+        "--trace-out", str(tmp_path / "trace.csv"),
+    )
+
+
 # ---------------------------------------------------------------------- qos
 
 def test_qos_smoke(capsys, tmp_path):
@@ -207,6 +244,44 @@ def test_validation_error_exits_2_with_json(capsys):
     payload = parse_json(err)
     assert payload["command"] == "calibrate"
     assert payload["error"]
+
+
+def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys):
+    code, _, err = run_cli(capsys, [
+        "calibrate", "--sensitivity", "2", "--gamma", "1e11", "--max-deviation", "50",
+    ])
+    assert code == 2
+    payload = parse_json(err)
+    assert payload["command"] == "calibrate"
+    assert "gamma" in payload["error"]
+
+
+_CHAIN_NODES = [{"id": "pmu1", "layer": "PMU"}, {"id": "pdc1", "layer": "PDC"},
+                {"id": "m", "layer": "MASTER"}]
+_BAD_WINDOW_EDGES = [
+    {"child": "pmu1", "parent": "pdc1", "attack_window": "ab",
+     "attacker": {"gamma": 2.0, "sensitivity": 2.0, "epsilon": 0.5}},
+    {"child": "pdc1", "parent": "m"},
+]
+_GOOD_EDGES = [{"child": "pmu1", "parent": "pdc1"}, {"child": "pdc1", "parent": "m"}]
+
+
+@pytest.mark.parametrize("topology, extra, needle", [
+    ([1, 2], [], "topology"),
+    ({"nodes": 5}, [], "nodes"),
+    ({"nodes": _CHAIN_NODES, "edges": _BAD_WINDOW_EDGES}, [], "attack_window"),
+    ({"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}, ["--n-runs", "1000"], "--tau"),
+], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau"])
+def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(topology))
+    code, _, err = run_cli(capsys, [
+        "simulate", "--topology", str(path), "--synth-days", "2", *extra,
+    ])
+    assert code == 2
+    payload = parse_json(err)
+    assert payload["command"] == "simulate"
+    assert needle in payload["error"]
 
 
 def test_output_dir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):
