@@ -27,6 +27,7 @@ from .bench import run_bench
 from .calibrate import DesignSpec, calibrate_epsilon
 from .forecasting import ForecastConfig
 from .gridsim import (
+    QUERY_KINDS,
     Detector,
     detection_rate,
     impact_sweep,
@@ -138,7 +139,7 @@ def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
-    if args.n_runs and args.tau is None:
+    if args.n_runs is not None and args.tau is None:
         raise ValueError("--n-runs estimates detection rates and needs a detector: set --tau")
     topology = load_topology(args.topology)
     series_map = {node: ingest_csv(path) for node, path in args.series or []}
@@ -154,7 +155,7 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
     trace = run_query(topology, series_map, args.kind, detector, seed=args.seed)
     payload = trace.summary()
     payload["config_hash"] = config_hash
-    if args.n_runs:
+    if args.n_runs is not None:
         rates = detection_rate(topology, series_map, args.kind, detector, args.n_runs, args.seed)
         payload["detection"] = asdict(rates)
     if args.trace_out:
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NODE=PATH")
     p.add_argument("--synth-days", type=int, default=None,
                    help="generate synthetic series for PMUs without one")
-    p.add_argument("--kind", choices=["hourly_mean", "sum"], default="hourly_mean")
+    p.add_argument("--kind", choices=QUERY_KINDS, default="hourly_mean")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--window", type=int, default=24)
     p.add_argument("--n-runs", type=int, default=None,

@@ -14,23 +14,26 @@ sum of all privacy draws and injections upstream of that edge.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 from itertools import product
-from typing import Iterator, Mapping
+from operator import attrgetter
+from typing import Mapping
 
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
 from .laplace import PrivacyParams, sample_laplace
 from .seeds import derive_rng, derive_seed
-from .series import MeasurementSeries, resample
+from .series import MeasurementSeries, resample, write_csv
 
 QUERY_KINDS = ("hourly_mean", "sum")
 _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
+_TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value",
+                 "dp_noise", "injected", "noise_total", "delivered", "flag")
+_TRACE_BLOCK_ROWS = 4096
 
 
 class Layer(IntEnum):
@@ -160,15 +163,11 @@ class GridTopology:
         meaningful without noise to hide in.
         """
         noisy_layers = set(self.dp_policy)
-        out: list = []
-        for e in self.attacked_edges():
-            below = self._layers_at_or_below(e.child)
-            if not (below & noisy_layers):
-                out.append(e.key)
-        return out
+        return [e.key for e in self.attacked_edges()
+                if not self._layers_at_or_below(e.child) & noisy_layers]
 
     def _layers_at_or_below(self, node_id: str) -> set:
-        children = {e.parent: [] for e in self.edges}
+        children: dict = {}
         for e in self.edges:
             children.setdefault(e.parent, []).append(e.child)
         seen = set()
@@ -178,20 +177,6 @@ class GridTopology:
             seen.add(self.node(current).layer)
             stack.extend(children.get(current, []))
         return seen
-
-
-@dataclass(frozen=True)
-class HopRecord:
-    timestep: int
-    timestamp: np.datetime64
-    child: str
-    parent: str
-    true_value: float
-    dp_noise: float
-    injected: float
-    noise_total: float
-    delivered: float
-    flag: bool
 
 
 @dataclass
@@ -214,38 +199,30 @@ class SimTrace:
     def n_timesteps(self) -> int:
         return len(self.timestamps)
 
-    def iter_records(self) -> Iterator[HopRecord]:
-        for t in range(self.n_timesteps):
-            for key in self.edge_keys:
-                yield HopRecord(
-                    timestep=t,
-                    timestamp=self.timestamps[t],
-                    child=key[0],
-                    parent=key[1],
-                    true_value=float(self.true_values[key][t]),
-                    dp_noise=float(self.dp_noise[key][t]),
-                    injected=float(self.injected[key][t]),
-                    noise_total=float(self.noise_total[key][t]),
-                    delivered=float(self.delivered[key][t]),
-                    flag=bool(self.flags[key][t]),
-                )
-
     def to_csv(self, path, metadata: dict | None = None) -> None:
+        """One row per (timestep, edge): timesteps in order, edges in edge_keys order."""
+        write_csv(path, _TRACE_HEADER, self._csv_rows(), metadata)
+
+    def _csv_rows(self):
+        # Whole timesteps per block, so only one block's Python objects are alive at once.
+        keys = self.edge_keys
         stamps = np.datetime_as_string(self.timestamps, unit="s")
-        with open(path, "w", newline="") as fh:
-            for k, v in (metadata or {}).items():
-                fh.write(f"# {k}={v}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["timestep", "timestamp", "child", "parent", "true_value",
-                 "dp_noise", "injected", "noise_total", "delivered", "flag"]
+        floats = (self.true_values, self.dp_noise, self.injected, self.noise_total, self.delivered)
+
+        def column(per_edge: dict, t: np.ndarray, dtype=np.float64) -> list:
+            return np.stack([per_edge[k][t] for k in keys], axis=1, dtype=dtype).ravel().tolist()
+
+        step = max(1, _TRACE_BLOCK_ROWS // max(1, len(keys)))
+        for start in range(0, self.n_timesteps if keys else 0, step):
+            t = np.arange(start, min(start + step, self.n_timesteps))
+            yield from zip(
+                np.repeat(t, len(keys)).tolist(),
+                np.repeat(stamps[t], len(keys)).tolist(),
+                [k[0] for k in keys] * len(t),
+                [k[1] for k in keys] * len(t),
+                *(column(per_edge, t) for per_edge in floats),
+                column(self.flags, t, np.uint8),
             )
-            for rec in self.iter_records():
-                writer.writerow(
-                    [rec.timestep, stamps[rec.timestep], rec.child, rec.parent,
-                     repr(rec.true_value), repr(rec.dp_noise), repr(rec.injected),
-                     repr(rec.noise_total), repr(rec.delivered), int(rec.flag)]
-                )
 
     def summary(self) -> dict:
         edges = {}
@@ -398,14 +375,8 @@ def _run_on_grid(
         out_noise[node.id] = noise + draw
 
     edge_keys = tuple(sorted(edge_true))
-    flags = {
-        key: (
-            _rolling_flags(edge_delivered[key], detector)
-            if detector is not None
-            else np.zeros(n, dtype=bool)
-        )
-        for key in edge_keys
-    }
+    flags = {key: np.zeros(n, dtype=bool) if detector is None
+             else _rolling_flags(edge_delivered[key], detector) for key in edge_keys}
     return SimTrace(
         timestamps=timestamps,
         kind=kind,
@@ -506,31 +477,14 @@ def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
     points = []
     for eps, gamma, sens in product(eps_list, gamma_list, sens_list):
         profile = AttackProfile.solve(gamma, PrivacyParams(sens, eps, theta))
-        points.append(
-            SweepPoint(
-                epsilon=eps,
-                gamma=gamma,
-                sensitivity=sens,
-                theta=theta,
-                k1=profile.k1,
-                mu_star=profile.mu_star,
-                deviation=profile.mean_shift,
-            )
-        )
+        points.append(SweepPoint(eps, gamma, sens, theta,
+                                 profile.k1, profile.mu_star, profile.mean_shift))
     return points
 
 
 def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for k, v in (metadata or {}).items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "gamma", "sensitivity", "theta", "k1", "mu_star", "deviation"])
-        for p in points:
-            writer.writerow(
-                [repr(p.epsilon), repr(p.gamma), repr(p.sensitivity), repr(p.theta),
-                 repr(p.k1), repr(p.mu_star), repr(p.deviation)]
-            )
+    header = [f.name for f in fields(SweepPoint)]
+    write_csv(path, header, map(attrgetter(*header), points), metadata)
 
 
 def _params_to_dict(params: PrivacyParams) -> dict:
@@ -544,6 +498,12 @@ def _expect(value, kind: type, field: str):
     return value
 
 
+def _required(data: dict, key: str, where: str):
+    if key not in data:
+        raise ValueError(f"{where}.{key} is required")
+    return data[key]
+
+
 def _number(value, field: str) -> float:
     try:
         return float(value)
@@ -554,8 +514,8 @@ def _number(value, field: str) -> float:
 def _params_from_dict(data: dict, field: str) -> PrivacyParams:
     _expect(data, dict, field)
     return PrivacyParams(
-        sensitivity=_number(data["sensitivity"], f"{field}.sensitivity"),
-        epsilon=_number(data["epsilon"], f"{field}.epsilon"),
+        sensitivity=_number(_required(data, "sensitivity", field), f"{field}.sensitivity"),
+        epsilon=_number(_required(data, "epsilon", field), f"{field}.epsilon"),
         theta=_number(data.get("theta", 0.0), f"{field}.theta"),
     )
 
@@ -594,8 +554,10 @@ def topology_from_dict(data: dict) -> GridTopology:
     _expect(data, dict, "topology")
     nodes = []
     for i, n in enumerate(_expect(data.get("nodes"), list, "topology.nodes")):
-        n = _expect(n, dict, f"topology.nodes[{i}]")
-        nodes.append(Node(id=str(n["id"]), layer=parse_layer(n["layer"])))
+        where = f"topology.nodes[{i}]"
+        n = _expect(n, dict, where)
+        nodes.append(Node(id=str(_required(n, "id", where)),
+                          layer=parse_layer(_required(n, "layer", where))))
     edges = []
     for i, e in enumerate(_expect(data.get("edges"), list, "topology.edges")):
         where = f"topology.edges[{i}]"
@@ -605,7 +567,7 @@ def topology_from_dict(data: dict) -> GridTopology:
         if e.get("attacker") is not None:
             spec = _expect(e["attacker"], dict, f"{where}.attacker")
             attacker = AttackProfile.solve(
-                _number(spec["gamma"], f"{where}.attacker.gamma"),
+                _number(_required(spec, "gamma", f"{where}.attacker"), f"{where}.attacker.gamma"),
                 _params_from_dict(spec, f"{where}.attacker"),
             )
             if e.get("attack_window") is not None:
@@ -613,7 +575,8 @@ def topology_from_dict(data: dict) -> GridTopology:
                 window = tuple(_number(t, field) for t in _expect(e["attack_window"], list, field))
                 if len(window) != 2 or not all(map(math.isfinite, window)):
                     raise ValueError(f"{field} must be [start, end], got {window!r}")
-        edges.append(Edge(child=str(e["child"]), parent=str(e["parent"]),
+        edges.append(Edge(child=str(_required(e, "child", where)),
+                          parent=str(_required(e, "parent", where)),
                           attacker=attacker, attack_window=window))
     policy = {
         parse_layer(name): _params_from_dict(params, f"topology.dp_policy.{name}")

@@ -29,8 +29,6 @@ from .seeds import derive_rng
 __all__ = [
     "CostReport",
     "UtilityReport",
-    "ForecastConfig",
-    "forecast",
     "dp_protect",
     "inject_attack",
     "cost_analysis",

@@ -5,7 +5,7 @@ an optional third ``quality`` column.  Timestamps are ISO-8601 and
 interpreted as UTC; values are decimal floats, with an empty or
 unparseable field marking a missing reading.  Lines starting with '#'
 carry metadata (e.g. the config hash of the run that produced the
-file) and are skipped on ingest.
+file) and are skipped on ingest.  write_csv writes every CSV output.
 """
 
 from __future__ import annotations
@@ -140,6 +140,19 @@ def ingest_csv(path, channel: str = "power_kwh", hourly: bool = False) -> Measur
     return resample(series, "hour") if hourly else series
 
 
+def write_csv(path, header, rows, metadata: dict | None = None) -> None:
+    """Write '# key=value' metadata lines, a header, then rows.
+
+    csv.writer writes floats by repr, so they read back bit-exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def export_csv(series: MeasurementSeries, path, metadata: dict | None = None) -> None:
     """Write a series in the ingest format; round-trips bit-exactly.
 
@@ -148,14 +161,12 @@ def export_csv(series: MeasurementSeries, path, metadata: dict | None = None) ->
     """
     ts = series.timestamps
     whole_seconds = bool(np.all(ts == ts.astype("datetime64[s]").astype("datetime64[us]")))
-    stamps = np.datetime_as_string(ts, unit="s" if whole_seconds else "us")
-    with open(path, "w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "value"])
-        for stamp, value, present in zip(stamps, series.values, series.mask):
-            writer.writerow([stamp, repr(float(value)) if present else ""])
+    stamps = np.datetime_as_string(ts, unit="s" if whole_seconds else "us").tolist()
+    rows = (
+        (stamp, value if present else "")
+        for stamp, value, present in zip(stamps, series.values.tolist(), series.mask.tolist())
+    )
+    write_csv(path, ("timestamp", "value"), rows, metadata)
 
 
 def resample(series: MeasurementSeries, period: str, how: str = "mean") -> MeasurementSeries:

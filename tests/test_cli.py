@@ -264,6 +264,10 @@ _BAD_WINDOW_EDGES = [
     {"child": "pdc1", "parent": "m"},
 ]
 _GOOD_EDGES = [{"child": "pmu1", "parent": "pdc1"}, {"child": "pdc1", "parent": "m"}]
+_NO_GAMMA_EDGES = [
+    {"child": "pmu1", "parent": "pdc1", "attacker": {"sensitivity": 2.0, "epsilon": 0.5}},
+    {"child": "pdc1", "parent": "m"},
+]
 
 
 @pytest.mark.parametrize("topology, extra, needle", [
@@ -271,7 +275,13 @@ _GOOD_EDGES = [{"child": "pmu1", "parent": "pdc1"}, {"child": "pdc1", "parent": 
     ({"nodes": 5}, [], "nodes"),
     ({"nodes": _CHAIN_NODES, "edges": _BAD_WINDOW_EDGES}, [], "attack_window"),
     ({"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}, ["--n-runs", "1000"], "--tau"),
-], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau"])
+    ({"nodes": [{"layer": "PMU"}], "edges": []}, [], "topology.nodes[0].id is required"),
+    ({"nodes": _CHAIN_NODES, "edges": _NO_GAMMA_EDGES}, [],
+     "topology.edges[0].attacker.gamma is required"),
+    ({"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}, ["--tau", "6", "--n-runs", "0"],
+     "n_runs must be at least 1000, got 0"),
+], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
+        "attacker-without-gamma", "zero-n-runs"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))

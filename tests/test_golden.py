@@ -13,7 +13,17 @@ import numpy as np
 
 from dpgrid.adversary import AttackProfile
 from dpgrid.cli import main
-from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, detection_rate, run_query
+from dpgrid.gridsim import (
+    Detector,
+    Edge,
+    GridTopology,
+    Layer,
+    Node,
+    detection_rate,
+    impact_sweep,
+    run_query,
+    sweep_to_csv,
+)
 from dpgrid.laplace import PrivacyParams
 from dpgrid.series import export_csv, synth_pmu
 
@@ -21,6 +31,10 @@ TRACE_SHA256 = "ddcfab3beb7cf147964041a08d2d90ad8cb30b5fc2caa412e6d53220723738d9
 DETECTION_SHA256 = "211a548ae034ffce5c257183c988553ae82d6f797ec871fccfae5ff4136b4125"
 QOS_SHA256 = "0396031fb99bb4757fc973633961b9bd4ac97728990d320bcc6ac6ab87db0134"
 SYNTH_CSV_SHA256 = "63d1c57584aa9f2f9ed24ac9c1b744f4ed2411d78ba604a2c1ec6389a80968a0"
+TRACE_CSV_SHA256 = "a6af11e7106837f602070dd17604715bade40ee9e021787d17c2875301b11bdb"
+SWEEP_CSV_SHA256 = "988596fba47ee62b5581b942739d6af9b06715e0984c38f193e7836fe0ad3cee"
+MISSING_CSV_SHA256 = "6560c0ab08c4b2dc63df51983ffcda181033b4c97d986b56e8df6478e946420d"
+_META = {"config_hash": "beef"}
 
 
 def _attacked_tree():
@@ -50,6 +64,10 @@ def _attacked_tree():
 
 def _sha256_json(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _sha256_file(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_run_query_trace_digest():
@@ -85,3 +103,24 @@ def test_synth_csv_digest(tmp_path):
     path = tmp_path / "pmu.csv"
     export_csv(synth_pmu(days=3, seed=5), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_CSV_SHA256
+
+
+def test_trace_csv_digest(tmp_path):
+    topology, series = _attacked_tree()
+    trace = run_query(topology, series, "hourly_mean", Detector(tau=6.0, window=12), seed=7)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path, metadata=_META)
+    assert _sha256_file(path) == TRACE_CSV_SHA256
+
+
+def test_sweep_csv_digest(tmp_path):
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(impact_sweep([0.1, 0.5], [0.5, 2.0], [1.0, 2.0], theta=33.18), path,
+                 metadata=_META)
+    assert _sha256_file(path) == SWEEP_CSV_SHA256
+
+
+def test_missing_readings_csv_digest(tmp_path):
+    path = tmp_path / "pmu.csv"
+    export_csv(synth_pmu(days=3, missing_fraction=0.2, seed=9), path, metadata=_META)
+    assert _sha256_file(path) == MISSING_CSV_SHA256
