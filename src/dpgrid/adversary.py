@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +34,6 @@ def _kl_of_ratio(r: float) -> float:
     return 2.0 / (r * r - 1.0) + math.log1p(-1.0 / (r * r))
 
 
-@lru_cache(maxsize=4096)
 def _solve_tilt_ratio(gamma: float) -> float:
     """Unique r > 1 with _kl_of_ratio(r) == gamma, by bisection."""
     if gamma > 1e12:
@@ -45,15 +43,37 @@ def _solve_tilt_ratio(gamma: float) -> float:
         hi *= 2.0
         if hi > 1e160:
             raise ValueError(f"stealth budget {gamma} too small to resolve")
+    return bisect_root(lambda r: _kl_of_ratio(r) > gamma, lo, hi)
+
+
+def bisect_root(below, lo: float, hi: float) -> float:
+    """Where the monotone predicate below(x) turns False in [lo, hi]; at most 200 halvings."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _kl_of_ratio(mid) > gamma:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def tilted_mean_shift(k1, scale):
+    """Mean shift 2 b^2 k1 / (k1^2 - b^2) of the attack density, for floats or arrays.
+
+    ValueError unless b > 0, k1 > b and the shift is finite (b^2 must not under- or overflow).
+    """
+    b = np.asarray(scale, dtype=float)
+    if np.any(b <= 0.0):
+        raise ValueError("attack needs a positive noise scale to hide in")
+    if np.any(k1 <= b):
+        raise ValueError("attack distribution undefined: k1 must exceed the noise scale")
+    with np.errstate(all="ignore"):
+        shift = 2.0 * b * b * k1 / (k1 * k1 - b * b)
+    if not np.all(np.isfinite(shift)):
+        raise ValueError("noise scale out of range: the attacker's mean shift is not finite")
+    return shift
 
 
 def kl_from_k1(k1: float, scale: float) -> float:
@@ -89,7 +109,7 @@ class AttackProfile:
             noise scale of ``base``.
         base: parameters of the release under attack; its scale and
             theta fix the attack density.
-        mu_star: mean of the attack density (derived).
+        mu_star: mean of the attack density (derived), a Python float so csv writes its repr.
     """
 
     gamma: float
@@ -98,16 +118,10 @@ class AttackProfile:
     mu_star: float = field(init=False)
 
     def __post_init__(self) -> None:
-        b = self.base.scale
-        if b <= 0.0:
-            raise ValueError("attack needs a positive noise scale to hide in")
-        if self.k1 <= b:
-            raise ValueError("attack distribution undefined: k1 must exceed the noise scale")
+        shift = tilted_mean_shift(self.k1, self.base.scale)
         if not (self.gamma >= 0.0):
             raise ValueError(f"stealth budget must be non-negative, got {self.gamma}")
-        k1 = self.k1
-        mu = self.base.theta + 2.0 * b * b * k1 / (k1 * k1 - b * b)
-        object.__setattr__(self, "mu_star", mu)
+        object.__setattr__(self, "mu_star", float(self.base.theta + shift))
 
     @classmethod
     def solve(cls, gamma: float, base: PrivacyParams) -> "AttackProfile":

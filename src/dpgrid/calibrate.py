@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .adversary import AttackProfile, optimal_impact
+from .adversary import AttackProfile, bisect_root, optimal_impact
 from .laplace import PrivacyParams
 
 _ROUND_TRIP_RTOL = 1e-6
@@ -75,24 +74,10 @@ class DesignResult:
     predicted_impact: float
 
 
-@lru_cache(maxsize=4096)
 def _solve_deviation_ratio(gamma: float) -> float:
     """Unique t > 0 with t - log1p(t / 2) == gamma."""
-
-    def g(t: float) -> float:
-        return t - math.log1p(0.5 * t)
-
-    # g(gamma) < gamma and g(2 gamma + 2) > gamma, so the bracket is immediate.
-    lo, hi = gamma, 2.0 * gamma + 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) < gamma:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # The left side is below gamma at t = gamma and above it at 2 gamma + 2.
+    return bisect_root(lambda t: t - math.log1p(0.5 * t) < gamma, gamma, 2.0 * gamma + 2.0)
 
 
 def solve_design_k1(max_deviation: float, gamma: float) -> float:
@@ -116,7 +101,7 @@ def calibrate_epsilon(spec: DesignSpec) -> DesignResult:
     epsilon = spec.sensitivity / scale
     base = PrivacyParams(sensitivity=spec.sensitivity, epsilon=epsilon, theta=spec.theta)
     predicted = optimal_impact(AttackProfile.solve(spec.gamma, base))
-    if abs(predicted - (spec.theta + d)) > _ROUND_TRIP_RTOL * max(1.0, abs(d)):
+    if not abs(predicted - (spec.theta + d)) <= _ROUND_TRIP_RTOL * max(1.0, abs(d)):
         raise RuntimeError(
             f"calibration round trip drifted: predicted {predicted}, wanted {spec.theta + d}"
         )

@@ -18,13 +18,13 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
-from itertools import product
+from itertools import product, zip_longest
 from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
-from .adversary import AttackProfile, sample_attack_noise
+from .adversary import AttackProfile, sample_attack_noise, solve_k1, tilted_mean_shift
 from .laplace import PrivacyParams, sample_laplace
 from .seeds import derive_rng, derive_seed
 from .series import MeasurementSeries, resample, write_csv
@@ -162,21 +162,15 @@ class GridTopology:
         simulate but worth surfacing, since no stealth constraint is
         meaningful without noise to hide in.
         """
-        noisy_layers = set(self.dp_policy)
-        return [e.key for e in self.attacked_edges()
-                if not self._layers_at_or_below(e.child) & noisy_layers]
-
-    def _layers_at_or_below(self, node_id: str) -> set:
-        children: dict = {}
-        for e in self.edges:
-            children.setdefault(e.parent, []).append(e.child)
-        seen = set()
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            seen.add(self.node(current).layer)
-            stack.extend(children.get(current, []))
-        return seen
+        attacked = self.attacked_edges()
+        if not attacked:
+            return []
+        layer = {n.id: n.layer for n in self.nodes}
+        # Layers at or below each node; in child-layer order a child is complete before it folds.
+        below = {n.id: {n.layer} for n in self.nodes}
+        for e in sorted(self.edges, key=lambda e: layer[e.child]):
+            below[e.parent] |= below[e.child]
+        return [e.key for e in attacked if below[e.child].isdisjoint(self.dp_policy)]
 
 
 @dataclass
@@ -466,20 +460,25 @@ def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
     """Best stealthy mean shift over a parameter grid.
 
     Returns one SweepPoint per (epsilon, gamma, sensitivity) cell, in
-    product order.  The deviation factorizes as scale times a function
-    of gamma alone, so repeated gammas cost one root-solve total.
+    product order, equal to AttackProfile.solve's.  k1 factorizes as
+    scale times a ratio of gamma alone: one root-solve per distinct gamma.
     """
     eps_list = [float(e) for e in epsilons]
     gamma_list = [float(g) for g in gammas]
     sens_list = [float(s) for s in sensitivities]
     if not eps_list or not gamma_list or not sens_list:
         raise ValueError("sweep axes must be non-empty")
-    points = []
-    for eps, gamma, sens in product(eps_list, gamma_list, sens_list):
-        profile = AttackProfile.solve(gamma, PrivacyParams(sens, eps, theta))
-        points.append(SweepPoint(eps, gamma, sens, theta,
-                                 profile.k1, profile.mu_star, profile.mean_shift))
-    return points
+    for e, s in zip_longest(eps_list, sens_list, fillvalue=1.0):
+        PrivacyParams(s, e, theta)  # the per-cell checks, once per axis value
+    # Axes (epsilon, gamma, sensitivity): ravel() walks the product order.
+    with np.errstate(all="ignore"):
+        scale = np.array(sens_list)[None, None, :] / np.array(eps_list)[:, None, None]
+        ratio_of = {g: solve_k1(g, 1.0) for g in dict.fromkeys(gamma_list)}
+        k1 = scale * np.array([ratio_of[g] for g in gamma_list])[None, :, None]
+        mu_star = (theta + tilted_mean_shift(k1, scale)).ravel().tolist()
+    k1 = k1.ravel().tolist()  # the arrays are freed before the points are built
+    return [SweepPoint(e, g, s, theta, k, mu, mu - theta)
+            for (e, g, s), k, mu in zip(product(eps_list, gamma_list, sens_list), k1, mu_star)]
 
 
 def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
@@ -499,8 +498,8 @@ def _expect(value, kind: type, field: str):
 
 
 def _required(data: dict, key: str, where: str):
-    if key not in data:
-        raise ValueError(f"{where}.{key} is required")
+    if data.get(key) is None:
+        raise ValueError(f"{where}.{key} is required and may not be null")
     return data[key]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpgrid import calibrate
 from dpgrid.adversary import AttackProfile, kl_from_k1
 from dpgrid.calibrate import (
     BoundaryCase,
@@ -62,6 +63,13 @@ def test_round_trip_at_large_stealth_budget():
     spec = DesignSpec(sensitivity=2.0, gamma=3e7, theta=33.18, max_deviation=10.0)
     result = calibrate_epsilon(spec)
     assert result.predicted_impact == pytest.approx(43.18, rel=1e-6)
+
+
+def test_round_trip_check_rejects_nan_prediction(monkeypatch):
+    monkeypatch.setattr(calibrate, "optimal_impact", lambda profile: math.nan)
+    spec = DesignSpec(sensitivity=2.0, gamma=2.0, theta=33.18, max_deviation=76.82)
+    with pytest.raises(RuntimeError, match="round trip drifted"):
+        calibrate_epsilon(spec)
 
 
 def test_result_is_consistent_with_stealth_constraint():

@@ -256,6 +256,31 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys):
     assert "gamma" in payload["error"]
 
 
+# Noise scales whose squares under- or overflow: the attacker's mean
+# shift is 0/0 or inf/inf there, which must not reach the output.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["impact", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
+    ["impact", "--epsilon", "1e-100", "--gamma", "2", "--sensitivity", "1e100"],
+    ["sweep", "--epsilons", "1e200", "--gammas", "2", "--sensitivities", "1e-3"],
+    ["sweep", "--epsilons", "1,1e-100", "--gammas", "2", "--sensitivities", "1e100"],
+    ["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "1e-300"],
+    ["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "1e300"],
+    ["qos", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3", "--days", "60"],
+    ["bench", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
+], ids=["impact-underflow", "impact-overflow", "sweep-underflow", "sweep-overflow",
+        "calibrate-underflow", "calibrate-overflow", "qos-underflow", "bench-underflow"])
+def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    payload = parse_json(err)
+    assert payload["command"] == argv[0]
+    assert "not finite" in payload["error"]
+
+
 _CHAIN_NODES = [{"id": "pmu1", "layer": "PMU"}, {"id": "pdc1", "layer": "PDC"},
                 {"id": "m", "layer": "MASTER"}]
 _BAD_WINDOW_EDGES = [
@@ -268,6 +293,12 @@ _NO_GAMMA_EDGES = [
     {"child": "pmu1", "parent": "pdc1", "attacker": {"sensitivity": 2.0, "epsilon": 0.5}},
     {"child": "pdc1", "parent": "m"},
 ]
+_TINY_SCALE_EDGES = [
+    {"child": "pmu1", "parent": "pdc1",
+     "attacker": {"gamma": 2.0, "sensitivity": 1e-3, "epsilon": 1e200}},
+    {"child": "pdc1", "parent": "m"},
+]
+_NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
 
 
 @pytest.mark.parametrize("topology, extra, needle", [
@@ -280,8 +311,16 @@ _NO_GAMMA_EDGES = [
      "topology.edges[0].attacker.gamma is required"),
     ({"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}, ["--tau", "6", "--n-runs", "0"],
      "n_runs must be at least 1000, got 0"),
+    ({"nodes": _CHAIN_NODES, "edges": _TINY_SCALE_EDGES}, [], "not finite"),
+    ({"nodes": _NULL_ID_NODES, "edges": [{"child": None, "parent": "pdc1"}, _GOOD_EDGES[1]]},
+     [], "topology.nodes[0].id is required and may not be null"),
+    ({"nodes": _CHAIN_NODES, "edges": [{"child": None, "parent": "pdc1"}, _GOOD_EDGES[1]]},
+     [], "topology.edges[0].child is required and may not be null"),
+    ({"nodes": _CHAIN_NODES, "edges": [_GOOD_EDGES[0], {"child": "pdc1", "parent": None}]},
+     [], "topology.edges[1].parent is required and may not be null"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
-        "attacker-without-gamma", "zero-n-runs"])
+        "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
+        "null-edge-child", "null-edge-parent"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))

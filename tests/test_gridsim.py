@@ -1,8 +1,11 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpgrid.adversary import AttackProfile
 from dpgrid.gridsim import (
@@ -336,6 +339,24 @@ def test_sweep_matches_profile_solver():
         assert p.k1 == pytest.approx(profile.k1, rel=1e-12)
         assert p.deviation == pytest.approx(profile.mean_shift, rel=1e-12)
         assert p.mu_star == pytest.approx(p.theta + p.deviation, rel=1e-12)
+
+
+_SWEEP_AXIS = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4)
+
+
+@given(epsilons=_SWEEP_AXIS, sensitivities=_SWEEP_AXIS,
+       gammas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=5)),
+       theta=st.floats(-1e3, 1e3))
+def test_sweep_equals_per_cell_solve_bit_for_bit(epsilons, gammas, sensitivities, theta):
+    points = impact_sweep(epsilons, gammas, sensitivities, theta=theta)
+    cells = list(product(epsilons, gammas, sensitivities))
+    assert [(p.epsilon, p.gamma, p.sensitivity) for p in points] == cells
+    for p, (eps, gamma, sens) in zip(points, cells):
+        profile = AttackProfile.solve(gamma, PrivacyParams(sens, eps, theta))
+        assert type(p.mu_star) is float
+        assert (p.theta, p.k1, p.mu_star, p.deviation) == (
+            theta, profile.k1, profile.mu_star, profile.mean_shift)
 
 
 def test_sweep_rejects_empty_axes():
