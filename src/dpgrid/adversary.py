@@ -78,9 +78,9 @@ def tilted_mean_shift(k1, scale):
 
 def kl_from_k1(k1: float, scale: float) -> float:
     """Stealth cost KL(fa || f0) of tilt k1 against noise scale b."""
-    if scale <= 0.0:
+    if not (scale > 0.0):
         raise ValueError(f"noise scale must be positive, got {scale}")
-    if k1 <= scale:
+    if not (k1 > scale):
         raise ValueError("attack distribution undefined: k1 must exceed the noise scale")
     return _kl_of_ratio(k1 / scale)
 
@@ -92,7 +92,7 @@ def solve_k1(gamma: float, scale: float) -> float:
     gamma must be strictly positive; gamma == 0 only admits the honest
     density itself (k1 -> inf).
     """
-    if scale <= 0.0:
+    if not (scale > 0.0):
         raise ValueError(f"noise scale must be positive, got {scale}")
     if not (gamma > 0.0) or math.isinf(gamma):
         raise ValueError("degenerate stealth budget")

@@ -142,12 +142,6 @@ class GridTopology:
     def pmu_ids(self) -> list:
         return sorted(n.id for n in self.nodes if n.layer == Layer.PMU)
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def without_attackers(self) -> "GridTopology":
         stripped = tuple(replace(e, attacker=None, attack_window=None) for e in self.edges)
         return GridTopology(nodes=self.nodes, edges=stripped, dp_policy=self.dp_policy)
@@ -251,9 +245,11 @@ def _rolling_flags(delivered: np.ndarray, detector: Detector) -> np.ndarray:
     flags = np.zeros(len(delivered), dtype=bool)
     if len(delivered) <= w:
         return flags
-    csum = np.concatenate(([0.0], np.cumsum(delivered)))
+    # De-meaned, so the cumsum's rounding error scales with the spread, not the level.
+    centred = delivered - delivered.mean()
+    csum = np.concatenate(([0.0], np.cumsum(centred)))
     rolling = (csum[w:-1] - csum[:-w - 1]) / w
-    flags[w:] = np.abs(delivered[w:] - rolling) > detector.tau
+    flags[w:] = np.abs(centred[w:] - rolling) > detector.tau
     return flags
 
 
@@ -294,96 +290,74 @@ def run_query(
     reordering siblings never perturbs existing draws.
     """
     timestamps, pmu_values = _prepare_inputs(topology, series_map, kind)
-    return _run_on_grid(topology, timestamps, pmu_values, kind, detector, seed)
-
-
-def _run_on_grid(
-    topology: GridTopology,
-    timestamps: np.ndarray,
-    pmu_values: dict,
-    kind: str,
-    detector: Detector | None,
-    seed: int,
-) -> SimTrace:
     n = len(timestamps)
-    how = _AGGREGATION[kind]
-    children_of: dict[str, list] = {}
-    for e in topology.edges:
-        children_of.setdefault(e.parent, []).append(e)
+    own, injected = _draws(topology, n, seed)
+    passed = _tree_pass(topology, pmu_values, _AGGREGATION[kind], own, injected)
+    true, dp, inj, total, delivered = ({key: arrays[i] for key, arrays in passed.items()}
+                                       for i in range(5))
+    edge_keys = tuple(sorted(passed))
+    flags = {key: np.zeros(n, dtype=bool) if detector is None
+             else _rolling_flags(delivered[key], detector) for key in edge_keys}
+    return SimTrace(timestamps=timestamps, kind=kind, seed=seed, edge_keys=edge_keys,
+                    true_values=true, dp_noise=dp, injected=inj, noise_total=total,
+                    delivered=delivered, flags=flags,
+                    plaintext_attack_edges=tuple(topology.plaintext_attack_edges()))
 
-    out_true: dict[str, np.ndarray] = {}
-    out_noise: dict[str, np.ndarray] = {}
-    own_draw: dict[str, np.ndarray] = {}
 
-    edge_true: dict[tuple, np.ndarray] = {}
-    edge_injected: dict[tuple, np.ndarray] = {}
-    edge_noise_total: dict[tuple, np.ndarray] = {}
-    edge_delivered: dict[tuple, np.ndarray] = {}
-    edge_dp: dict[tuple, np.ndarray] = {}
+def _draws(topology: GridTopology, n: int, seed: int) -> tuple[dict, dict]:
+    """All of one run's randomness: each node's privacy draw and each attacked edge's injection.
 
-    def own_noise(node: Node) -> np.ndarray:
+    A node outside the privacy policy draws zeros; an injection is zero outside its window.
+    """
+    own = {}
+    for node in topology.nodes:
         params = topology.dp_policy.get(node.layer)
-        if params is None:
-            return np.zeros(n)
-        gen = derive_rng(seed, "node", node.id)
-        return sample_laplace(params, gen, size=n)
-
-    def injected_noise(edge: Edge) -> np.ndarray:
-        if edge.attacker is None:
-            return np.zeros(n)
-        start, end = edge.attack_window if edge.attack_window is not None else (0, n)
+        own[node.id] = (np.zeros(n) if params is None
+                        else sample_laplace(params, derive_rng(seed, "node", node.id), size=n))
+    injected = {}
+    for e in topology.attacked_edges():
+        start, end = e.attack_window if e.attack_window is not None else (0, n)
         start, end = max(0, start), min(n, end)
         out = np.zeros(n)
         if end > start:
-            gen = derive_rng(seed, "edge", edge.child, edge.parent)
-            out[start:end] = sample_attack_noise(edge.attacker, gen, size=end - start)
-        return out
+            gen = derive_rng(seed, "edge", e.child, e.parent)
+            out[start:end] = sample_attack_noise(e.attacker, gen, size=end - start)
+        injected[e.key] = out
+    return own, injected
 
-    ordered = sorted(topology.nodes, key=lambda nd: (nd.layer, nd.id))
-    for node in ordered:
+
+def _tree_pass(topology: GridTopology, pmu_values: dict, how: str, own: dict,
+               injected: dict) -> dict:
+    """Per edge (true, dp_noise, injected, noise_total, delivered) from one run's draws.
+
+    Arithmetic only; an edge missing from injected carries no injection.
+    """
+    n = len(own[topology.nodes[0].id])
+    children_of: dict[str, list] = {}
+    for e in topology.edges:
+        children_of.setdefault(e.parent, []).append(e)
+    out_true: dict[str, np.ndarray] = {}
+    out_noise: dict[str, np.ndarray] = {}
+    passed: dict[tuple, tuple] = {}
+    for node in sorted(topology.nodes, key=lambda nd: (nd.layer, nd.id)):
         if node.layer == Layer.PMU:
             true = pmu_values[node.id]
             noise = np.zeros(n)
         else:
             inputs = sorted(children_of[node.id], key=lambda e: e.child)
-            true_parts = []
-            noise_parts = []
             for e in inputs:
-                inj = injected_noise(e)
+                inj = injected[e.key] if e.key in injected else np.zeros(n)
                 carried = out_noise[e.child] + inj
-                true_parts.append(out_true[e.child])
-                noise_parts.append(carried)
-                edge_true[e.key] = out_true[e.child]
-                edge_injected[e.key] = inj
-                edge_noise_total[e.key] = carried
-                edge_delivered[e.key] = out_true[e.child] + carried
-                edge_dp[e.key] = own_draw[e.child]
-            true = np.sum(true_parts, axis=0)
-            noise = np.sum(noise_parts, axis=0)
+                passed[e.key] = (out_true[e.child], own[e.child], inj, carried,
+                                 out_true[e.child] + carried)
+            true = np.sum([out_true[e.child] for e in inputs], axis=0)
+            noise = np.sum([passed[e.key][3] for e in inputs], axis=0)
             if how == "mean":
                 true = true / len(inputs)
                 noise = noise / len(inputs)
-        draw = own_noise(node)
-        own_draw[node.id] = draw
         out_true[node.id] = true
-        out_noise[node.id] = noise + draw
-
-    edge_keys = tuple(sorted(edge_true))
-    flags = {key: np.zeros(n, dtype=bool) if detector is None
-             else _rolling_flags(edge_delivered[key], detector) for key in edge_keys}
-    return SimTrace(
-        timestamps=timestamps,
-        kind=kind,
-        seed=seed,
-        edge_keys=edge_keys,
-        true_values=dict(edge_true),
-        dp_noise=dict(edge_dp),
-        injected=dict(edge_injected),
-        noise_total=dict(edge_noise_total),
-        delivered=dict(edge_delivered),
-        flags=flags,
-        plaintext_attack_edges=tuple(topology.plaintext_attack_edges()),
-    )
+        out_noise[node.id] = noise + own[node.id]
+    return passed
 
 
 @dataclass(frozen=True)
@@ -405,9 +379,10 @@ def detection_rate(
 ) -> DetectionRates:
     """Monte-Carlo flag rates over paired attacked/clean runs.
 
-    The false positive rate counts flags on clean runs; the true
-    positive rate counts flags on compromised edges inside their attack
-    windows.  Timesteps still inside the detector warm-up are not flag
+    Each run draws its privacy noise and injections once; its clean run
+    is the same draws without the injections.  The false positive rate
+    counts flags on every edge of the clean runs; the true positive
+    rate counts flags on compromised edges inside their attack windows.  Timesteps still inside the detector warm-up are not flag
     opportunities and are excluded from both denominators.
     """
     if n_runs < 1000:
@@ -418,27 +393,26 @@ def detection_rate(
     if n <= w:
         raise ValueError(f"series too short for detector warm-up: {n} steps, window {w}")
 
-    clean_topology = topology.without_attackers()
-    attacked = topology.attacked_edges()
+    how = _AGGREGATION[kind]
+    # True positives are scored on attacked edges, over the part of their window past warm-up.
+    scored = []
+    for e in topology.attacked_edges():
+        start, end = e.attack_window if e.attack_window is not None else (0, n)
+        start, end = max(w, start), min(n, end)
+        if end > start:
+            scored.append((e.key, start, end))
 
     tp = fp = 0
-    tp_opportunities = fp_opportunities = 0
     for i in range(n_runs):
-        run_seed = derive_seed(seed, "run", i)
-        clean = _run_on_grid(topology=clean_topology, timestamps=timestamps,
-                             pmu_values=pmu_values, kind=kind, detector=detector, seed=run_seed)
-        for key in clean.edge_keys:
-            fp += int(clean.flags[key][w:].sum())
-            fp_opportunities += n - w
-        if attacked:
-            hit = _run_on_grid(topology=topology, timestamps=timestamps,
-                               pmu_values=pmu_values, kind=kind, detector=detector, seed=run_seed)
-            for e in attacked:
-                start, end = e.attack_window if e.attack_window is not None else (0, n)
-                start, end = max(w, start), min(n, end)
-                if end > start:
-                    tp += int(hit.flags[e.key][start:end].sum())
-                    tp_opportunities += end - start
+        own, injected = _draws(topology, n, derive_seed(seed, "run", i))
+        for *_, delivered in _tree_pass(topology, pmu_values, how, own, {}).values():
+            fp += int(_rolling_flags(delivered, detector)[w:].sum())
+        if scored:
+            hit = _tree_pass(topology, pmu_values, how, own, injected)
+            for key, start, end in scored:
+                tp += int(_rolling_flags(hit[key][4], detector)[start:end].sum())
+    fp_opportunities = n_runs * len(topology.edges) * (n - w)
+    tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
 
     fpr = fp / fp_opportunities
     tpr = tp / tp_opportunities if tp_opportunities else None

@@ -90,15 +90,13 @@ def _parse_timestamp(text: str) -> np.datetime64:
     return np.datetime64(cleaned, "us")
 
 
-def ingest_csv(path, channel: str = "power_kwh", hourly: bool = False) -> MeasurementSeries:
+def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
     """Load a measurement CSV.
 
     Rows whose value field does not parse as a float become
     masked-missing readings; a quality field outside {'', ok, good, 1}
     masks the row as well.  A malformed header or an empty file is an
     error, as are non-increasing timestamps.
-
-    With hourly=True the series is resampled to hourly means on return.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
@@ -131,13 +129,12 @@ def ingest_csv(path, channel: str = "power_kwh", hourly: bool = False) -> Measur
         values.append(value if present else math.nan)
         mask.append(present)
 
-    series = MeasurementSeries(
+    return MeasurementSeries(
         timestamps=np.array(timestamps, dtype="datetime64[us]"),
         values=np.array(values),
         mask=np.array(mask),
         channel=channel,
     )
-    return resample(series, "hour") if hourly else series
 
 
 def write_csv(path, header, rows, metadata: dict | None = None) -> None:

@@ -82,6 +82,15 @@ def test_kl_rejects_untilted_region():
         kl_from_k1(0.5, 1.0)
 
 
+def test_nan_inputs_rejected():
+    with pytest.raises(ValueError, match="noise scale must be positive"):
+        kl_from_k1(1.0, math.nan)
+    with pytest.raises(ValueError, match="attack distribution undefined"):
+        kl_from_k1(math.nan, 1.0)
+    with pytest.raises(ValueError, match="noise scale must be positive"):
+        solve_k1(2.0, math.nan)
+
+
 def test_kl_scale_invariance():
     # The divergence depends only on the ratio k1 / b.
     assert kl_from_k1(2.6, 2.0) == pytest.approx(kl_from_k1(26.0, 20.0), rel=1e-12)

@@ -4,11 +4,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpgrid.adversary import AttackProfile
 from dpgrid.gridsim import (
+    DetectionRates,
     Detector,
     Edge,
     GridTopology,
@@ -24,6 +25,7 @@ from dpgrid.gridsim import (
     topology_to_dict,
 )
 from dpgrid.laplace import PrivacyParams
+from dpgrid.seeds import derive_seed
 from dpgrid.series import MeasurementSeries, synth_pmu
 
 FLAT = np.full(24, 30.0)
@@ -290,6 +292,34 @@ def test_detector_flags_spike_exactly_once():
     assert flags.sum() == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.floats(-1e9, 1e9),
+    spread=st.floats(1e-2, 1e2),
+    window=st.integers(1, 48),
+    extra=st.integers(1, 400),
+    noise_seed=st.integers(0, 2**32 - 1),
+    above=st.booleans(),
+)
+def test_rolling_mean_matches_direct_window_mean(level, spread, window, extra, noise_seed, above):
+    # tau sits 1e-7 * spread from the largest deviation, so a rolling mean
+    # that is off by more than that (as a cumsum at the signal's level is)
+    # flips that step's flag.
+    n = window + extra
+    values = level + spread * np.random.default_rng(noise_seed).standard_normal(n)
+    deviation = np.zeros(n)
+    for t in range(window, n):
+        # value minus window mean, summed exactly by fsum before the one division
+        terms = [values[t]] * window + [-v for v in values[t - window:t]]
+        deviation[t] = math.fsum(terms) / window
+    tau = float(np.abs(deviation).max()) + (1e-7 if above else -1e-7) * spread
+    assume(tau > 0.0)
+    ts = (np.datetime64("2021-01-01", "h") + np.arange(n)).astype("datetime64[us]")
+    series = {"pmu1": MeasurementSeries(ts, values, np.ones(n, dtype=bool))}
+    trace = run_query(chain_topology(), series, "sum", Detector(tau=tau, window=window), seed=0)
+    np.testing.assert_array_equal(trace.flags[("pmu1", "pdc1")], np.abs(deviation) > tau)
+
+
 def test_false_positive_rate_matches_noise_tail():
     # Constant signal, Laplace noise at scale b, threshold 1.5 b: the
     # flag probability is e^-1.5 up to the rolling-mean correction,
@@ -327,6 +357,56 @@ def test_detection_rate_requires_enough_runs():
     topo = chain_topology(dp={Layer.PMU: params})
     with pytest.raises(ValueError, match="n_runs"):
         detection_rate(topo, {"pmu1": flat_series(4)}, "hourly_mean", Detector(1.0, 12), 10, 0)
+
+
+def reference_detection_rate(topology, series, kind, detector, n_runs, seed):
+    # The documented semantics through the public run_query: run i pairs a
+    # clean run with an attacked run, both seeded derive_seed(seed, "run", i);
+    # steps inside the detector warm-up are no flag chances.
+    w = detector.window
+    tp = fp = tp_chances = fp_chances = 0
+    for i in range(n_runs):
+        run_seed = derive_seed(seed, "run", i)
+        clean = run_query(topology.without_attackers(), series, kind, detector, run_seed)
+        hit = run_query(topology, series, kind, detector, run_seed)
+        n = clean.n_timesteps
+        for key in clean.edge_keys:
+            fp += int(clean.flags[key][w:].sum())
+            fp_chances += n - w
+        for e in topology.attacked_edges():
+            start, end = e.attack_window if e.attack_window is not None else (0, n)
+            start, end = max(w, start), min(n, end)
+            if end > start:
+                tp += int(hit.flags[e.key][start:end].sum())
+                tp_chances += end - start
+    tpr = tp / tp_chances if tp_chances else None
+    return DetectionRates(true_positive_rate=tpr, false_positive_rate=fp / fp_chances,
+                          n_runs=n_runs)
+
+
+@pytest.mark.parametrize("windows, expect_tpr", [
+    ({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)}, True),  # two stacked layers
+    ({("pmu1", "pdc1"): (0, 5)}, False),  # wholly inside the warm-up
+    ({}, False),  # no attacker
+], ids=["stacked", "warmup", "clean"])
+def test_detection_rate_equals_paired_run_query(windows, expect_tpr):
+    pmu = PrivacyParams(2.0, 0.5)
+    attacker = AttackProfile.solve(2.0, pmu)
+    edges = tuple(
+        Edge(child, parent, attacker=attacker if (child, parent) in windows else None,
+             attack_window=windows.get((child, parent)))
+        for child, parent in (("pmu1", "pdc1"), ("pmu2", "pdc1"), ("pdc1", "master"))
+    )
+    topo = GridTopology(
+        nodes=two_pmu_topology().nodes, edges=edges,
+        dp_policy={Layer.PMU: pmu, Layer.PDC: PrivacyParams(2.0, 1.0),
+                   Layer.MASTER: PrivacyParams(2.0, 1.0)},
+    )
+    series = {p: synth_pmu(days=2, seed=i) for i, p in enumerate(topo.pmu_ids())}
+    det = Detector(tau=6.0, window=6)
+    rates = detection_rate(topo, series, "sum", det, n_runs=1000, seed=11)
+    assert rates == reference_detection_rate(topo, series, "sum", det, 1000, 11)
+    assert (rates.true_positive_rate is not None) == expect_tpr
 
 
 # -------------------------------------------------------------------- sweep
