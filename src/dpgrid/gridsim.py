@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise, solve_k1, tilted_mean_shift
-from .laplace import PrivacyParams, sample_laplace
+from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng, derive_seed
 from .series import MeasurementSeries, resample, write_csv
 
@@ -34,6 +34,8 @@ _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
 _TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value",
                  "dp_noise", "injected", "noise_total", "delivered", "flag")
 _TRACE_BLOCK_ROWS = 4096
+# Bytes of one chunk of detection_rate's runs, at about four float rows per node and edge per run.
+_CHUNK_BYTES = 1 << 21
 
 
 class Layer(IntEnum):
@@ -241,37 +243,87 @@ class SimTrace:
 
 
 def _rolling_flags(delivered: np.ndarray, detector: Detector) -> np.ndarray:
+    """Flags for a (rows, hours) block; each row is one edge's series."""
     w = detector.window
-    flags = np.zeros(len(delivered), dtype=bool)
-    if len(delivered) <= w:
+    flags = np.zeros(delivered.shape, dtype=bool)
+    if delivered.shape[-1] <= w:
         return flags
     # De-meaned, so the cumsum's rounding error scales with the spread, not the level.
-    centred = delivered - delivered.mean()
-    csum = np.concatenate(([0.0], np.cumsum(centred)))
-    rolling = (csum[w:-1] - csum[:-w - 1]) / w
-    flags[w:] = np.abs(centred[w:] - rolling) > detector.tau
+    centred = delivered - delivered.mean(axis=-1, keepdims=True)
+    csum = np.concatenate((np.zeros((len(centred), 1)), np.cumsum(centred, axis=-1)), axis=-1)
+    rolling = (csum[:, w:-1] - csum[:, :-w - 1]) / w
+    flags[:, w:] = np.abs(centred[:, w:] - rolling) > detector.tau
     return flags
 
 
-def _prepare_inputs(
-    topology: GridTopology, series_map: Mapping, kind: str
-) -> tuple[np.ndarray, dict]:
-    if kind not in QUERY_KINDS:
-        raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
-    pmus = topology.pmu_ids()
-    missing = [p for p in pmus if p not in series_map]
-    if missing:
-        raise ValueError(f"missing measurement series for PMU(s): {', '.join(missing)}")
-    how = _AGGREGATION[kind]
-    hourly = {p: resample(series_map[p], "hour", how=how) for p in pmus}
-    reference = hourly[pmus[0]].timestamps
-    for p in pmus:
-        if not np.array_equal(hourly[p].timestamps, reference):
-            raise ValueError("PMU series are not aligned on a common hourly grid")
-        gaps = int((~hourly[p].mask).sum())
-        if gaps:
-            raise ValueError(f"PMU {p} has {gaps} empty hours after resampling")
-    return reference, {p: hourly[p].values for p in pmus}
+class _Query:
+    """One query's inputs, prepared once: hourly grid, walk order and each node's true value."""
+
+    def __init__(self, topology: GridTopology, series_map: Mapping, kind: str) -> None:
+        if kind not in QUERY_KINDS:
+            raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
+        pmus = topology.pmu_ids()
+        missing = [p for p in pmus if p not in series_map]
+        if missing:
+            raise ValueError(f"missing measurement series for PMU(s): {', '.join(missing)}")
+        self.topology, self.how = topology, _AGGREGATION[kind]
+        hourly = {p: resample(series_map[p], "hour", how=self.how) for p in pmus}
+        self.timestamps = hourly[pmus[0]].timestamps
+        for p in pmus:
+            if not np.array_equal(hourly[p].timestamps, self.timestamps):
+                raise ValueError("PMU series are not aligned on a common hourly grid")
+            gaps = int((~hourly[p].mask).sum())
+            if gaps:
+                raise ValueError(f"PMU {p} has {gaps} empty hours after resampling")
+        children_of: dict[str, list] = {}
+        for e in topology.edges:
+            children_of.setdefault(e.parent, []).append(e)
+        # (node id, child edges in child-id order), each node after its children; PMUs have none.
+        self.order = [(nd.id, sorted(children_of.get(nd.id, ()), key=attrgetter("child")))
+                      for nd in sorted(topology.nodes, key=attrgetter("layer", "id"))]
+        self.true = {p: hourly[p].values for p in pmus}
+        for node_id, inputs in self.order:
+            if inputs:
+                self.true[node_id] = self._combine([self.true[e.child] for e in inputs])
+
+    def _combine(self, values: list) -> np.ndarray:
+        total = np.sum(values, axis=0)
+        return total / len(values) if self.how == "mean" else total
+
+    def draws(self, seeds: list) -> tuple[dict, dict]:
+        """Each node's privacy draws (zeros outside the policy) and each attacked edge's
+        injections (zero outside its window), as (runs, hours) blocks with one row per seed."""
+        rows, n = len(seeds), len(self.timestamps)
+        own, injected = {}, {}
+        for node in self.topology.nodes:
+            params = self.topology.dp_policy.get(node.layer)
+            own[node.id] = block = np.zeros((rows, n))
+            if params is not None:
+                for row, s in zip(block, seeds):
+                    derive_rng(s, "node", node.id).random(out=row)
+                own[node.id] = laplace_from_uniform(block, params.scale)
+        for e in self.topology.attacked_edges():
+            start, end = e.attack_window if e.attack_window is not None else (0, n)
+            start, end = max(0, start), min(n, end)
+            injected[e.key] = block = np.zeros((rows, n))
+            if end > start:
+                for row, s in zip(block, seeds):
+                    gen = derive_rng(s, "edge", e.child, e.parent)
+                    row[start:end] = sample_attack_noise(e.attacker, gen, size=end - start)
+        return own, injected
+
+    def walk(self, own: dict, injected: dict) -> dict:
+        """Per edge (dp_noise, injected, noise_total, delivered) blocks; zeros if not injected."""
+        out_noise: dict[str, np.ndarray] = {}
+        passed: dict[tuple, tuple] = {}
+        for node_id, inputs in self.order:
+            for e in inputs:
+                inj = injected[e.key] if e.key in injected else np.zeros_like(own[e.child])
+                carried = out_noise[e.child] + inj
+                passed[e.key] = (own[e.child], inj, carried, self.true[e.child] + carried)
+            noise = self._combine([passed[e.key][2] for e in inputs]) if inputs else 0.0
+            out_noise[node_id] = noise + own[node_id]
+        return passed
 
 
 def run_query(
@@ -289,75 +341,16 @@ def run_query(
     compromised edge gets its own independent stream, so adding or
     reordering siblings never perturbs existing draws.
     """
-    timestamps, pmu_values = _prepare_inputs(topology, series_map, kind)
-    n = len(timestamps)
-    own, injected = _draws(topology, n, seed)
-    passed = _tree_pass(topology, pmu_values, _AGGREGATION[kind], own, injected)
-    true, dp, inj, total, delivered = ({key: arrays[i] for key, arrays in passed.items()}
-                                       for i in range(5))
+    query = _Query(topology, series_map, kind)
+    passed = query.walk(*query.draws([seed]))
     edge_keys = tuple(sorted(passed))
-    flags = {key: np.zeros(n, dtype=bool) if detector is None
-             else _rolling_flags(delivered[key], detector) for key in edge_keys}
-    return SimTrace(timestamps=timestamps, kind=kind, seed=seed, edge_keys=edge_keys,
-                    true_values=true, dp_noise=dp, injected=inj, noise_total=total,
-                    delivered=delivered, flags=flags,
+    dp, inj, total, delivered = ({key: passed[key][i][0] for key in edge_keys} for i in range(4))
+    flags = {key: np.zeros(len(query.timestamps), dtype=bool) if detector is None
+             else _rolling_flags(passed[key][3], detector)[0] for key in edge_keys}
+    return SimTrace(timestamps=query.timestamps, kind=kind, seed=seed, edge_keys=edge_keys,
+                    true_values={e.key: query.true[e.child] for e in topology.edges},
+                    dp_noise=dp, injected=inj, noise_total=total, delivered=delivered, flags=flags,
                     plaintext_attack_edges=tuple(topology.plaintext_attack_edges()))
-
-
-def _draws(topology: GridTopology, n: int, seed: int) -> tuple[dict, dict]:
-    """All of one run's randomness: each node's privacy draw and each attacked edge's injection.
-
-    A node outside the privacy policy draws zeros; an injection is zero outside its window.
-    """
-    own = {}
-    for node in topology.nodes:
-        params = topology.dp_policy.get(node.layer)
-        own[node.id] = (np.zeros(n) if params is None
-                        else sample_laplace(params, derive_rng(seed, "node", node.id), size=n))
-    injected = {}
-    for e in topology.attacked_edges():
-        start, end = e.attack_window if e.attack_window is not None else (0, n)
-        start, end = max(0, start), min(n, end)
-        out = np.zeros(n)
-        if end > start:
-            gen = derive_rng(seed, "edge", e.child, e.parent)
-            out[start:end] = sample_attack_noise(e.attacker, gen, size=end - start)
-        injected[e.key] = out
-    return own, injected
-
-
-def _tree_pass(topology: GridTopology, pmu_values: dict, how: str, own: dict,
-               injected: dict) -> dict:
-    """Per edge (true, dp_noise, injected, noise_total, delivered) from one run's draws.
-
-    Arithmetic only; an edge missing from injected carries no injection.
-    """
-    n = len(own[topology.nodes[0].id])
-    children_of: dict[str, list] = {}
-    for e in topology.edges:
-        children_of.setdefault(e.parent, []).append(e)
-    out_true: dict[str, np.ndarray] = {}
-    out_noise: dict[str, np.ndarray] = {}
-    passed: dict[tuple, tuple] = {}
-    for node in sorted(topology.nodes, key=lambda nd: (nd.layer, nd.id)):
-        if node.layer == Layer.PMU:
-            true = pmu_values[node.id]
-            noise = np.zeros(n)
-        else:
-            inputs = sorted(children_of[node.id], key=lambda e: e.child)
-            for e in inputs:
-                inj = injected[e.key] if e.key in injected else np.zeros(n)
-                carried = out_noise[e.child] + inj
-                passed[e.key] = (out_true[e.child], own[e.child], inj, carried,
-                                 out_true[e.child] + carried)
-            true = np.sum([out_true[e.child] for e in inputs], axis=0)
-            noise = np.sum([passed[e.key][3] for e in inputs], axis=0)
-            if how == "mean":
-                true = true / len(inputs)
-                noise = noise / len(inputs)
-        out_true[node.id] = true
-        out_noise[node.id] = noise + own[node.id]
-    return passed
 
 
 @dataclass(frozen=True)
@@ -381,19 +374,19 @@ def detection_rate(
 
     Each run draws its privacy noise and injections once; its clean run
     is the same draws without the injections.  The false positive rate
-    counts flags on every edge of the clean runs; the true positive
-    rate counts flags on compromised edges inside their attack windows.  Timesteps still inside the detector warm-up are not flag
-    opportunities and are excluded from both denominators.
+    counts flags on every edge of the clean runs, the true positive rate
+    flags on compromised edges inside their attack windows; steps inside
+    the detector warm-up count toward neither.  Runs are processed in
+    chunks sized by a byte budget; the rates do not depend on the chunk size.
     """
     if n_runs < 1000:
         raise ValueError(f"n_runs must be at least 1000, got {n_runs}")
-    timestamps, pmu_values = _prepare_inputs(topology, series_map, kind)
-    n = len(timestamps)
+    query = _Query(topology, series_map, kind)
+    n = len(query.timestamps)
     w = detector.window
     if n <= w:
         raise ValueError(f"series too short for detector warm-up: {n} steps, window {w}")
 
-    how = _AGGREGATION[kind]
     # True positives are scored on attacked edges, over the part of their window past warm-up.
     scored = []
     for e in topology.attacked_edges():
@@ -402,19 +395,19 @@ def detection_rate(
         if end > start:
             scored.append((e.key, start, end))
 
+    rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
     tp = fp = 0
-    for i in range(n_runs):
-        own, injected = _draws(topology, n, derive_seed(seed, "run", i))
-        for *_, delivered in _tree_pass(topology, pmu_values, how, own, {}).values():
-            fp += int(_rolling_flags(delivered, detector)[w:].sum())
+    for first in range(0, n_runs, rows):
+        seeds = [derive_seed(seed, "run", i) for i in range(first, min(first + rows, n_runs))]
+        own, injected = query.draws(seeds)
+        for *_, delivered in query.walk(own, {}).values():
+            fp += int(_rolling_flags(delivered, detector)[:, w:].sum())
         if scored:
-            hit = _tree_pass(topology, pmu_values, how, own, injected)
+            hit = query.walk(own, injected)
             for key, start, end in scored:
-                tp += int(_rolling_flags(hit[key][4], detector)[start:end].sum())
-    fp_opportunities = n_runs * len(topology.edges) * (n - w)
+                tp += int(_rolling_flags(hit[key][3], detector)[:, start:end].sum())
+    fpr = fp / (n_runs * len(topology.edges) * (n - w))
     tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
-
-    fpr = fp / fp_opportunities
     tpr = tp / tp_opportunities if tp_opportunities else None
     return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .seeds import as_generator
 
-QUERY_KINDS = ("sum", "mean")
+_QUERY_KINDS = ("sum", "mean")
 
 # Histogram bins enter the ratio test only once both sides are at least
 # this populated; below that the count ratio is sampling noise.
@@ -138,21 +138,24 @@ def sample_laplace(params: PrivacyParams, rng, size=None):
     adds the noise to whatever it is protecting; theta is not applied
     here.
     """
-    gen = as_generator(rng)
-    b = params.scale
-    u = gen.random(size) - 0.5
+    x = laplace_from_uniform(as_generator(rng).random(size), params.scale)
+    return float(x) if size is None else x
+
+
+def laplace_from_uniform(uniform, scale: float):
+    """Laplace(0, scale) noise from uniform [0, 1) draws, elementwise, by the transform above."""
+    u = uniform - 0.5
     absu = np.abs(u)
     # u == -0.5 (probability 2**-53 per draw) would map to -inf; clip one ulp in.
     absu = np.minimum(absu, np.nextafter(0.5, 0.0))
-    x = -b * np.sign(u) * np.log1p(-2.0 * absu)
-    return float(x) if size is None else x
+    return -scale * np.sign(u) * np.log1p(-2.0 * absu)
 
 
 def _aggregate(dataset: Dataset, kind: str) -> float:
     if len(dataset) == 0:
         raise ValueError("empty query domain")
-    if kind not in QUERY_KINDS:
-        raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
+    if kind not in _QUERY_KINDS:
+        raise ValueError(f"unknown query kind {kind!r}; expected one of {_QUERY_KINDS}")
     total = math.fsum(dataset.values)
     return total if kind == "sum" else total / len(dataset)
 

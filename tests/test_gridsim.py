@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpgrid import gridsim
 from dpgrid.adversary import AttackProfile
 from dpgrid.gridsim import (
     DetectionRates,
@@ -27,6 +29,7 @@ from dpgrid.gridsim import (
 from dpgrid.laplace import PrivacyParams
 from dpgrid.seeds import derive_seed
 from dpgrid.series import MeasurementSeries, synth_pmu
+from test_golden import DETECTION_SHA256, _attacked_tree, _sha256_json
 
 FLAT = np.full(24, 30.0)
 
@@ -407,6 +410,53 @@ def test_detection_rate_equals_paired_run_query(windows, expect_tpr):
     rates = detection_rate(topo, series, "sum", det, n_runs=1000, seed=11)
     assert rates == reference_detection_rate(topo, series, "sum", det, 1000, 11)
     assert (rates.true_positive_rate is not None) == expect_tpr
+
+
+def windowed_topology(windows):
+    # Every node noisy; one attacker on each edge named in windows.
+    pmu = PrivacyParams(2.0, 0.5)
+    attacker = AttackProfile.solve(2.0, pmu)
+    edges = tuple(
+        Edge(child, parent, attacker=attacker if (child, parent) in windows else None,
+             attack_window=windows.get((child, parent)))
+        for child, parent in (("pmu1", "pdc1"), ("pmu2", "pdc1"), ("pdc1", "master"))
+    )
+    topo = GridTopology(
+        nodes=two_pmu_topology().nodes, edges=edges,
+        dp_policy={Layer.PMU: pmu, Layer.PDC: PrivacyParams(2.0, 1.0),
+                   Layer.MASTER: PrivacyParams(2.0, 1.0)},
+    )
+    return topo, {p: synth_pmu(days=2, seed=i) for i, p in enumerate(topo.pmu_ids())}
+
+
+def chunked_detection_rate(monkeypatch, rows, topology, series, *args):
+    # detection_rate on 2-day series with a byte budget of `rows` runs per chunk
+    # (four float rows per node and edge per run); returns (rates, chunk sizes).
+    budget = rows * 32 * 48 * (len(topology.nodes) + len(topology.edges))
+    monkeypatch.setattr(gridsim, "_CHUNK_BYTES", budget)
+    sizes = []
+    draws = gridsim._Query.draws
+
+    def spy(self, seeds):
+        sizes.append(len(seeds))
+        return draws(self, seeds)
+
+    monkeypatch.setattr(gridsim._Query, "draws", spy)
+    return detection_rate(topology, series, *args), sizes
+
+
+def test_detection_rate_does_not_depend_on_chunk_size(monkeypatch):
+    golden = _attacked_tree()
+    stacked = windowed_topology({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)})
+    stacked_rates = []
+    for rows, expect_sizes in ((1, [1] * 1000), (7, [7] * 142 + [6]), (1000, [1000])):
+        rates, sizes = chunked_detection_rate(monkeypatch, rows, *golden, "hourly_mean",
+                                              Detector(tau=6.0, window=12), 1000, 11)
+        assert sizes == expect_sizes
+        assert _sha256_json(asdict(rates)) == DETECTION_SHA256
+        stacked_rates.append(chunked_detection_rate(monkeypatch, rows, *stacked, "sum",
+                                                    Detector(tau=6.0, window=6), 1000, 11)[0])
+    assert stacked_rates[0] == stacked_rates[1] == stacked_rates[2]
 
 
 # -------------------------------------------------------------------- sweep
