@@ -26,7 +26,7 @@ import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise, solve_k1, tilted_mean_shift
 from .laplace import PrivacyParams, laplace_from_uniform
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_rng
 from .series import MeasurementSeries, resample, write_csv
 
 QUERY_KINDS = ("hourly_mean", "sum")
@@ -67,7 +67,7 @@ class Edge:
     def __post_init__(self) -> None:
         if self.attack_window is not None:
             start, end = self.attack_window
-            if start < 0 or end < start:
+            if start < 0 or end < start or any(isinstance(t, bool) or t != int(t) for t in (start, end)):
                 raise ValueError(f"bad attack window {self.attack_window}")
             object.__setattr__(self, "attack_window", (int(start), int(end)))
 
@@ -290,49 +290,56 @@ class _Query:
         total = np.sum(values, axis=0)
         return total / len(values) if self.how == "mean" else total
 
-    def draws(self, seeds: list) -> tuple[dict, dict]:
-        """Each node's privacy draws (zeros outside the policy) and each attacked edge's
-        injections (zero outside its window), as (runs, hours) blocks with one row per seed."""
-        rows, n = len(seeds), len(self.timestamps)
-        own, injected = {}, {}
-        for node in self.topology.nodes:
-            params = self.topology.dp_policy.get(node.layer)
-            own[node.id] = block = np.zeros((rows, n))
-            if params is not None:
-                for row, s in zip(block, seeds):
-                    derive_rng(s, "node", node.id).random(out=row)
-                own[node.id] = laplace_from_uniform(block, params.scale)
-        for e in self.topology.attacked_edges():
-            start, end = e.attack_window if e.attack_window is not None else (0, n)
-            start, end = max(0, start), min(n, end)
-            injected[e.key] = block = np.zeros((rows, n))
-            if end > start:
-                for row, s in zip(block, seeds):
-                    gen = derive_rng(s, "edge", e.child, e.parent)
-                    row[start:end] = sample_attack_noise(e.attacker, gen, size=end - start)
+    def streams(self, seed: int) -> tuple[list, list]:
+        """The call's generators: (node id, scale, generator) per noisy node and
+        (edge key, attacker, start, end, generator) per attacked edge whose window meets the run."""
+        n = len(self.timestamps)
+        nodes = [(nd.id, self.topology.dp_policy[nd.layer].scale, derive_rng(seed, "node", nd.id))
+                 for nd in self.topology.nodes if nd.layer in self.topology.dp_policy]
+        edges = [(e.key, e.attacker, start, min(n, end), derive_rng(seed, "edge", *e.key))
+                 for e in self.topology.attacked_edges()
+                 for start, end in [e.attack_window or (0, n)] if min(n, end) > start]
+        return nodes, edges
+
+    def draws(self, streams: tuple, rows: int) -> tuple[dict, dict]:
+        """The next `rows` runs of every stream as (rows, hours) blocks: each node's privacy
+        draws (zeros outside the policy) and each streamed edge's injections (zero outside its
+        window).  A run's row depends only on its stream and its index, not on the blocking."""
+        nodes, edges = streams
+        shape = (rows, len(self.timestamps))
+        own = {nd.id: np.zeros(shape) for nd in self.topology.nodes}
+        own.update((node_id, laplace_from_uniform(gen.random(shape), scale))
+                   for node_id, scale, gen in nodes)
+        injected = {}
+        for key, attacker, start, end, gen in edges:
+            injected[key] = block = np.zeros(shape)
+            for row in block:
+                row[start:end] = sample_attack_noise(attacker, gen, size=end - start)
         return own, injected
 
-    def walk(self, own: dict, injected: dict) -> dict:
-        """Per edge (dp_noise, injected, noise_total, delivered) blocks; zeros if not injected."""
-        out_noise: dict[str, np.ndarray] = {}
+    def walk(self, own: dict, injected: dict, clean: dict | None = None) -> dict:
+        """Per edge (dp_noise, injected, noise_total, delivered) blocks; zeros if not injected.
+        Given `clean`, the walk of `own` alone, only edges an injection reaches are redone."""
+        out_noise: dict[str, np.ndarray] = {}  # with `clean`, only nodes an injection reaches
         passed: dict[tuple, tuple] = {}
         for node_id, inputs in self.order:
             for e in inputs:
-                inj = injected[e.key] if e.key in injected else np.zeros_like(own[e.child])
-                carried = out_noise[e.child] + inj
+                inj = injected.get(e.key)
+                if clean is not None and inj is None and e.child not in out_noise:
+                    passed[e.key] = clean[e.key]
+                    continue
+                below = out_noise[e.child] if e.child in out_noise else clean[e.key][2]
+                carried = below if inj is None else below + inj
+                inj = np.zeros_like(carried) if inj is None else inj
                 passed[e.key] = (own[e.child], inj, carried, self.true[e.child] + carried)
-            noise = self._combine([passed[e.key][2] for e in inputs]) if inputs else 0.0
-            out_noise[node_id] = noise + own[node_id]
+            if clean is None or any(passed[e.key] is not clean[e.key] for e in inputs):
+                noise = self._combine([passed[e.key][2] for e in inputs]) if inputs else 0.0
+                out_noise[node_id] = noise + own[node_id]
         return passed
 
 
-def run_query(
-    topology: GridTopology,
-    series_map: Mapping,
-    kind: str,
-    detector: Detector | None,
-    seed: int,
-) -> SimTrace:
+def run_query(topology: GridTopology, series_map: Mapping, kind: str,
+              detector: Detector | None, seed: int) -> SimTrace:
     """Simulate one pass of the measurement tree over the common hourly grid.
 
     kind selects both the per-PMU hourly aggregation and how parents
@@ -342,7 +349,7 @@ def run_query(
     reordering siblings never perturbs existing draws.
     """
     query = _Query(topology, series_map, kind)
-    passed = query.walk(*query.draws([seed]))
+    passed = query.walk(*query.draws(query.streams(seed), 1))
     edge_keys = tuple(sorted(passed))
     dp, inj, total, delivered = ({key: passed[key][i][0] for key in edge_keys} for i in range(4))
     flags = {key: np.zeros(len(query.timestamps), dtype=bool) if detector is None
@@ -362,22 +369,17 @@ class DetectionRates:
     n_runs: int
 
 
-def detection_rate(
-    topology: GridTopology,
-    series_map: Mapping,
-    kind: str,
-    detector: Detector,
-    n_runs: int,
-    seed: int,
-) -> DetectionRates:
+def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
+                   detector: Detector, n_runs: int, seed: int) -> DetectionRates:
     """Monte-Carlo flag rates over paired attacked/clean runs.
 
-    Each run draws its privacy noise and injections once; its clean run
-    is the same draws without the injections.  The false positive rate
-    counts flags on every edge of the clean runs, the true positive rate
-    flags on compromised edges inside their attack windows; steps inside
-    the detector warm-up count toward neither.  Runs are processed in
-    chunks sized by a byte budget; the rates do not depend on the chunk size.
+    The call keeps one stream per noisy node and per attacked edge, keyed
+    as in run_query; run i is the i-th block of each, so run 0 draws what
+    run_query(seed) draws, and the chunks of runs, sized by a byte budget,
+    do not change the rates.  A clean run is its attacked run without the
+    injections.  The false positive rate counts flags on every edge of the
+    clean runs, the true positive rate flags on compromised edges inside
+    their attack windows; steps inside the detector warm-up count toward neither.
     """
     if n_runs < 1000:
         raise ValueError(f"n_runs must be at least 1000, got {n_runs}")
@@ -387,23 +389,19 @@ def detection_rate(
     if n <= w:
         raise ValueError(f"series too short for detector warm-up: {n} steps, window {w}")
 
+    streams = query.streams(seed)
     # True positives are scored on attacked edges, over the part of their window past warm-up.
-    scored = []
-    for e in topology.attacked_edges():
-        start, end = e.attack_window if e.attack_window is not None else (0, n)
-        start, end = max(w, start), min(n, end)
-        if end > start:
-            scored.append((e.key, start, end))
-
+    scored = [(key, max(w, start), end)
+              for key, _, start, end, _ in streams[1] if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
     tp = fp = 0
     for first in range(0, n_runs, rows):
-        seeds = [derive_seed(seed, "run", i) for i in range(first, min(first + rows, n_runs))]
-        own, injected = query.draws(seeds)
-        for *_, delivered in query.walk(own, {}).values():
+        own, injected = query.draws(streams, min(rows, n_runs - first))
+        clean = query.walk(own, {})
+        for *_, delivered in clean.values():
             fp += int(_rolling_flags(delivered, detector)[:, w:].sum())
         if scored:
-            hit = query.walk(own, injected)
+            hit = query.walk(own, injected, clean)
             for key, start, end in scored:
                 tp += int(_rolling_flags(hit[key][3], detector)[:, start:end].sum())
     fpr = fp / (n_runs * len(topology.edges) * (n - w))
@@ -473,7 +471,7 @@ def _required(data: dict, key: str, where: str):
 def _number(value, field: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{field} must be a number, got {value!r}") from None
 
 
@@ -538,9 +536,11 @@ def topology_from_dict(data: dict) -> GridTopology:
             )
             if e.get("attack_window") is not None:
                 field = f"{where}.attack_window"
-                window = tuple(_number(t, field) for t in _expect(e["attack_window"], list, field))
-                if len(window) != 2 or not all(map(math.isfinite, window)):
-                    raise ValueError(f"{field} must be [start, end], got {window!r}")
+                bounds = _expect(e["attack_window"], list, field)
+                window = tuple(_number(t, field) for t in bounds)
+                whole = [not isinstance(t, bool) and w.is_integer() for t, w in zip(bounds, window)]
+                if len(window) != 2 or not all(whole):
+                    raise ValueError(f"{field} must be [start, end] of whole timesteps, got {bounds!r}")
         edges.append(Edge(child=str(_required(e, "child", where)),
                           parent=str(_required(e, "parent", where)),
                           attacker=attacker, attack_window=window))

@@ -298,6 +298,9 @@ _TINY_SCALE_EDGES = [
      "attacker": {"gamma": 2.0, "sensitivity": 1e-3, "epsilon": 1e200}},
     {"child": "pdc1", "parent": "m"},
 ]
+_FRACTIONAL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [10.5, 20.5]}, _GOOD_EDGES[1]]
+_BOOL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [True, 20]}, _GOOD_EDGES[1]]
+_HUGE_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [0, 10**400]}, _GOOD_EDGES[1]]
 _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
 
 
@@ -318,9 +321,16 @@ _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
      [], "topology.edges[0].child is required and may not be null"),
     ({"nodes": _CHAIN_NODES, "edges": [_GOOD_EDGES[0], {"child": "pdc1", "parent": None}]},
      [], "topology.edges[1].parent is required and may not be null"),
+    ({"nodes": _CHAIN_NODES, "edges": _FRACTIONAL_WINDOW_EDGES}, [],
+     "topology.edges[0].attack_window must be [start, end] of whole timesteps"),
+    ({"nodes": _CHAIN_NODES, "edges": _BOOL_WINDOW_EDGES}, [],
+     "topology.edges[0].attack_window must be [start, end] of whole timesteps"),
+    ({"nodes": _CHAIN_NODES, "edges": _HUGE_WINDOW_EDGES}, [],
+     "topology.edges[0].attack_window must be a number"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
-        "null-edge-child", "null-edge-parent"])
+        "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
+        "huge-window"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))

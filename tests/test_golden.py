@@ -28,7 +28,7 @@ from dpgrid.laplace import PrivacyParams
 from dpgrid.series import export_csv, synth_pmu
 
 TRACE_SHA256 = "ddcfab3beb7cf147964041a08d2d90ad8cb30b5fc2caa412e6d53220723738d9"
-DETECTION_SHA256 = "211a548ae034ffce5c257183c988553ae82d6f797ec871fccfae5ff4136b4125"
+DETECTION_SHA256 = "8d6f8685ffe60d62df86c34f6b5446d0c16ba61c9cfee4d8489f46bcc399db38"
 QOS_SHA256 = "0396031fb99bb4757fc973633961b9bd4ac97728990d320bcc6ac6ab87db0134"
 SYNTH_CSV_SHA256 = "63d1c57584aa9f2f9ed24ac9c1b744f4ed2411d78ba604a2c1ec6389a80968a0"
 TRACE_CSV_SHA256 = "a6af11e7106837f602070dd17604715bade40ee9e021787d17c2875301b11bdb"

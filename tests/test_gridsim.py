@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpgrid import gridsim
-from dpgrid.adversary import AttackProfile
+from dpgrid.adversary import AttackProfile, sample_attack_noise
 from dpgrid.gridsim import (
     DetectionRates,
     Detector,
@@ -26,8 +26,8 @@ from dpgrid.gridsim import (
     topology_from_dict,
     topology_to_dict,
 )
-from dpgrid.laplace import PrivacyParams
-from dpgrid.seeds import derive_seed
+from dpgrid.laplace import PrivacyParams, laplace_from_uniform
+from dpgrid.seeds import derive_rng
 from dpgrid.series import MeasurementSeries, synth_pmu
 from test_golden import DETECTION_SHA256, _attacked_tree, _sha256_json
 
@@ -81,6 +81,9 @@ def test_topology_validation_errors():
         GridTopology((pmu, master), ())
     with pytest.raises(ValueError, match="no children"):
         GridTopology((pmu, pdc, master), (Edge("a", "m"), Edge("b", "m")))
+    for window in ((10.5, 20.5), (True, 5), (-1, 5), (5, 4)):
+        with pytest.raises(ValueError, match="bad attack window"):
+            Edge("a", "m", attack_window=window)
 
 
 def test_detector_validation():
@@ -363,24 +366,62 @@ def test_detection_rate_requires_enough_runs():
 
 
 def reference_detection_rate(topology, series, kind, detector, n_runs, seed):
-    # The documented semantics through the public run_query: run i pairs a
-    # clean run with an attacked run, both seeded derive_seed(seed, "run", i);
-    # steps inside the detector warm-up are no flag chances.
-    w = detector.window
+    # The documented stream layout in plain per-run code.  One generator per noisy node
+    # and per attacked edge serves the whole call: run i's privacy draws are row i of one
+    # (n_runs, hours) uniform block through laplace_from_uniform, its injections the i-th
+    # sample_attack_noise call on the edge's generator.  Each run walks the whole tree
+    # without and with its injections; steps inside the detector warm-up are no flag chances.
+    true = run_query(topology.without_attackers(), series, kind, None, seed).true_values
+    n, w = len(true[topology.edges[0].key]), detector.window
+    scale = {nd.id: topology.dp_policy[nd.layer].scale
+             for nd in topology.nodes if nd.layer in topology.dp_policy}
+    uniform = {node_id: derive_rng(seed, "node", node_id).random((n_runs, n)) for node_id in scale}
+    children = {}
+    for e in sorted(topology.edges, key=lambda e: e.child):
+        children.setdefault(e.parent, []).append(e)
+    windows = {}
+    for e in topology.attacked_edges():
+        start, end = e.attack_window if e.attack_window is not None else (0, n)
+        windows[e.key] = (e.attacker, derive_rng(seed, "edge", *e.key), start, min(n, end))
+    master = next(nd.id for nd in topology.nodes if nd.layer == Layer.MASTER)
+
+    def deliveries(i, injected):
+        delivered = {}
+
+        def emitted(node_id):  # the noise node_id sends to its parent in run i
+            own = np.zeros(n)
+            if node_id in scale:
+                own = laplace_from_uniform(uniform[node_id][i], scale[node_id])
+            inputs = children.get(node_id, [])
+            if not inputs:
+                return 0.0 + own
+            carried = [emitted(e.child) + injected.get(e.key, 0.0) for e in inputs]
+            for e, noise in zip(inputs, carried):
+                delivered[e.key] = true[e.key] + noise
+            total = sum(carried)
+            return (total / len(carried) if kind == "hourly_mean" else total) + own
+
+        emitted(master)
+        return delivered
+
+    def flags(values):
+        return gridsim._rolling_flags(values[None], detector)[0]
+
     tp = fp = tp_chances = fp_chances = 0
     for i in range(n_runs):
-        run_seed = derive_seed(seed, "run", i)
-        clean = run_query(topology.without_attackers(), series, kind, detector, run_seed)
-        hit = run_query(topology, series, kind, detector, run_seed)
-        n = clean.n_timesteps
-        for key in clean.edge_keys:
-            fp += int(clean.flags[key][w:].sum())
-            fp_chances += n - w
-        for e in topology.attacked_edges():
-            start, end = e.attack_window if e.attack_window is not None else (0, n)
-            start, end = max(w, start), min(n, end)
+        injected = {}
+        for key, (attacker, gen, start, end) in windows.items():
             if end > start:
-                tp += int(hit.flags[e.key][start:end].sum())
+                injected[key] = np.zeros(n)
+                injected[key][start:end] = sample_attack_noise(attacker, gen, size=end - start)
+        for values in deliveries(i, {}).values():
+            fp += int(flags(values)[w:].sum())
+            fp_chances += n - w
+        hit = deliveries(i, injected)
+        for key, (_, _, start, end) in windows.items():
+            start = max(w, start)
+            if end > start:
+                tp += int(flags(hit[key])[start:end].sum())
                 tp_chances += end - start
     tpr = tp / tp_chances if tp_chances else None
     return DetectionRates(true_positive_rate=tpr, false_positive_rate=fp / fp_chances,
@@ -391,25 +432,34 @@ def reference_detection_rate(topology, series, kind, detector, n_runs, seed):
     ({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)}, True),  # two stacked layers
     ({("pmu1", "pdc1"): (0, 5)}, False),  # wholly inside the warm-up
     ({}, False),  # no attacker
-], ids=["stacked", "warmup", "clean"])
+    ({("pdc1", "master"): (20, 48)}, True),  # upper edge only: no injection below its child
+], ids=["stacked", "warmup", "clean", "upper"])
 def test_detection_rate_equals_paired_run_query(windows, expect_tpr):
-    pmu = PrivacyParams(2.0, 0.5)
-    attacker = AttackProfile.solve(2.0, pmu)
-    edges = tuple(
-        Edge(child, parent, attacker=attacker if (child, parent) in windows else None,
-             attack_window=windows.get((child, parent)))
-        for child, parent in (("pmu1", "pdc1"), ("pmu2", "pdc1"), ("pdc1", "master"))
-    )
-    topo = GridTopology(
-        nodes=two_pmu_topology().nodes, edges=edges,
-        dp_policy={Layer.PMU: pmu, Layer.PDC: PrivacyParams(2.0, 1.0),
-                   Layer.MASTER: PrivacyParams(2.0, 1.0)},
-    )
-    series = {p: synth_pmu(days=2, seed=i) for i, p in enumerate(topo.pmu_ids())}
+    topo, series = windowed_topology(windows)
     det = Detector(tau=6.0, window=6)
     rates = detection_rate(topo, series, "sum", det, n_runs=1000, seed=11)
     assert rates == reference_detection_rate(topo, series, "sum", det, 1000, 11)
     assert (rates.true_positive_rate is not None) == expect_tpr
+
+
+def test_draws_are_rows_of_one_whole_call_draw():
+    # Runs [a, b) drawn block by block equal rows a..b of one whole-call draw, for
+    # noisy nodes and for attack windows clipped to the run; run_query(seed) is run 0.
+    windows = {("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (40, 10_000)}
+    topo, series = windowed_topology(windows)
+    query = gridsim._Query(topo, series, "sum")
+    own, injected = query.draws(query.streams(11), 10)
+    assert set(injected) == set(windows)
+    assert np.all(injected[("pdc1", "master")][:, 40:] != 0.0)
+    streams = query.streams(11)
+    blocks = [query.draws(streams, rows) for rows in (1, 3, 6)]
+    for whole, part in ((own, 0), (injected, 1)):
+        for key, block in whole.items():
+            assert np.array_equal(np.concatenate([b[part][key] for b in blocks]), block)
+    trace = run_query(topo, series, "sum", None, seed=11)
+    for e in topo.edges:
+        assert np.array_equal(trace.dp_noise[e.key], own[e.child][0])
+        assert np.all(trace.injected[e.key] == (injected[e.key][0] if e.key in injected else 0.0))
 
 
 def windowed_topology(windows):
@@ -437,9 +487,9 @@ def chunked_detection_rate(monkeypatch, rows, topology, series, *args):
     sizes = []
     draws = gridsim._Query.draws
 
-    def spy(self, seeds):
-        sizes.append(len(seeds))
-        return draws(self, seeds)
+    def spy(self, streams, rows):
+        sizes.append(rows)
+        return draws(self, streams, rows)
 
     monkeypatch.setattr(gridsim._Query, "draws", spy)
     return detection_rate(topology, series, *args), sizes
