@@ -194,6 +194,8 @@ def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, config_hash: str) -> int:
+    if args.batch_size < 1:
+        raise ValueError(f"--batch-size must be at least 1, got {args.batch_size}")
     days = max(1, math.ceil(args.batch_size / 24))
     series = synth_pmu(days=days, seed=derive_seed(args.seed, "bench-batch"))
     batch = series.values[: args.batch_size]

@@ -67,7 +67,7 @@ class Edge:
     def __post_init__(self) -> None:
         if self.attack_window is not None:
             start, end = self.attack_window
-            if start < 0 or end < start or any(isinstance(t, bool) or t != int(t) for t in (start, end)):
+            if not 0 <= start <= end < math.inf or any(isinstance(t, bool) or t % 1 for t in (start, end)):
                 raise ValueError(f"bad attack window {self.attack_window}")
             object.__setattr__(self, "attack_window", (int(start), int(end)))
 
@@ -90,8 +90,9 @@ class Detector:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        if self.window < 1:
-            raise ValueError(f"window must be at least 1, got {self.window}")
+        w = self.window
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ValueError(f"window must be an integer of at least 1, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def _rolling_flags(delivered: np.ndarray, detector: Detector) -> np.ndarray:
 
 
 class _Query:
-    """One query's inputs, prepared once: hourly grid, walk order and each node's true value."""
+    """One query's inputs, prepared once: hourly grid, walk order and each edge's true value."""
 
     def __init__(self, topology: GridTopology, series_map: Mapping, kind: str) -> None:
         if kind not in QUERY_KINDS:
@@ -266,7 +267,7 @@ class _Query:
         missing = [p for p in pmus if p not in series_map]
         if missing:
             raise ValueError(f"missing measurement series for PMU(s): {', '.join(missing)}")
-        self.topology, self.how = topology, _AGGREGATION[kind]
+        self.policy, self.how = topology.dp_policy, _AGGREGATION[kind]
         hourly = {p: resample(series_map[p], "hour", how=self.how) for p in pmus}
         self.timestamps = hourly[pmus[0]].timestamps
         for p in pmus:
@@ -275,67 +276,58 @@ class _Query:
             gaps = int((~hourly[p].mask).sum())
             if gaps:
                 raise ValueError(f"PMU {p} has {gaps} empty hours after resampling")
+        # Edge i leaves node i, nodes by layer and id; the MASTER sends nothing, so it is left out.
+        self.layer = {nd.id: nd.layer for nd in topology.nodes}
+        self.edges = sorted(topology.edges, key=lambda e: (self.layer[e.child], e.child))
+        # Children in id order: below the MASTER every child is a PMU, and PMUs sort by id.
         children_of: dict[str, list] = {}
-        for e in topology.edges:
-            children_of.setdefault(e.parent, []).append(e)
-        # (node id, child edges in child-id order), each node after its children; PMUs have none.
-        self.order = [(nd.id, sorted(children_of.get(nd.id, ()), key=attrgetter("child")))
-                      for nd in sorted(topology.nodes, key=attrgetter("layer", "id"))]
-        self.true = {p: hourly[p].values for p in pmus}
-        for node_id, inputs in self.order:
-            if inputs:
-                self.true[node_id] = self._combine([self.true[e.child] for e in inputs])
+        for i, e in enumerate(self.edges):
+            children_of.setdefault(e.parent, []).append(i)
+        self.children = [children_of.get(e.child, []) for e in self.edges]
+        self.true = []
+        for e, kids in zip(self.edges, self.children):
+            self.true.append(self._combine([self.true[k] for k in kids]) if kids
+                             else hourly[e.child].values)
 
     def _combine(self, values: list) -> np.ndarray:
         total = np.sum(values, axis=0)
         return total / len(values) if self.how == "mean" else total
 
     def streams(self, seed: int) -> tuple[list, list]:
-        """The call's generators: (node id, scale, generator) per noisy node and
-        (edge key, attacker, start, end, generator) per attacked edge whose window meets the run."""
+        """The call's generators: (index, scale, generator) per noisy node and
+        (index, attacker, start, end, generator) per attacked edge whose window meets the run."""
         n = len(self.timestamps)
-        nodes = [(nd.id, self.topology.dp_policy[nd.layer].scale, derive_rng(seed, "node", nd.id))
-                 for nd in self.topology.nodes if nd.layer in self.topology.dp_policy]
-        edges = [(e.key, e.attacker, start, min(n, end), derive_rng(seed, "edge", *e.key))
-                 for e in self.topology.attacked_edges()
+        nodes = [(i, self.policy[self.layer[e.child]].scale, derive_rng(seed, "node", e.child))
+                 for i, e in enumerate(self.edges) if self.layer[e.child] in self.policy]
+        edges = [(i, e.attacker, start, min(n, end), derive_rng(seed, "edge", *e.key))
+                 for i, e in enumerate(self.edges) if e.attacker is not None
                  for start, end in [e.attack_window or (0, n)] if min(n, end) > start]
         return nodes, edges
 
-    def draws(self, streams: tuple, rows: int) -> tuple[dict, dict]:
+    def draws(self, streams: tuple, rows: int) -> tuple[list, dict]:
         """The next `rows` runs of every stream as (rows, hours) blocks: each node's privacy
-        draws (zeros outside the policy) and each streamed edge's injections (zero outside its
-        window).  A run's row depends only on its stream and its index, not on the blocking."""
+        draws (zeros outside the policy) and, by edge index, each streamed edge's injections
+        (zero outside its window).  A run's row depends only on its stream and its index."""
         nodes, edges = streams
         shape = (rows, len(self.timestamps))
-        own = {nd.id: np.zeros(shape) for nd in self.topology.nodes}
-        own.update((node_id, laplace_from_uniform(gen.random(shape), scale))
-                   for node_id, scale, gen in nodes)
+        own = [np.zeros(shape) for _ in self.edges]
+        for i, scale, gen in nodes:
+            own[i] = laplace_from_uniform(gen.random(shape), scale)
         injected = {}
-        for key, attacker, start, end, gen in edges:
-            injected[key] = block = np.zeros(shape)
+        for i, attacker, start, end, gen in edges:
+            injected[i] = block = np.zeros(shape)
             for row in block:
                 row[start:end] = sample_attack_noise(attacker, gen, size=end - start)
         return own, injected
 
-    def walk(self, own: dict, injected: dict, clean: dict | None = None) -> dict:
-        """Per edge (dp_noise, injected, noise_total, delivered) blocks; zeros if not injected.
-        Given `clean`, the walk of `own` alone, only edges an injection reaches are redone."""
-        out_noise: dict[str, np.ndarray] = {}  # with `clean`, only nodes an injection reaches
-        passed: dict[tuple, tuple] = {}
-        for node_id, inputs in self.order:
-            for e in inputs:
-                inj = injected.get(e.key)
-                if clean is not None and inj is None and e.child not in out_noise:
-                    passed[e.key] = clean[e.key]
-                    continue
-                below = out_noise[e.child] if e.child in out_noise else clean[e.key][2]
-                carried = below if inj is None else below + inj
-                inj = np.zeros_like(carried) if inj is None else inj
-                passed[e.key] = (own[e.child], inj, carried, self.true[e.child] + carried)
-            if clean is None or any(passed[e.key] is not clean[e.key] for e in inputs):
-                noise = self._combine([passed[e.key][2] for e in inputs]) if inputs else 0.0
-                out_noise[node_id] = noise + own[node_id]
-        return passed
+    def walk(self, own: list, injected: dict) -> list:
+        """Each edge's noise_total block: the combined noise its child receives, the child's
+        own draws and the edge's injection, if any; delivered is true[i] plus it."""
+        totals = []
+        for i, kids in enumerate(self.children):
+            noise = (self._combine([totals[k] for k in kids]) if kids else 0.0) + own[i]
+            totals.append(noise + injected[i] if i in injected else noise)
+        return totals
 
 
 def run_query(topology: GridTopology, series_map: Mapping, kind: str,
@@ -349,14 +341,18 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
     reordering siblings never perturbs existing draws.
     """
     query = _Query(topology, series_map, kind)
-    passed = query.walk(*query.draws(query.streams(seed), 1))
-    edge_keys = tuple(sorted(passed))
-    dp, inj, total, delivered = ({key: passed[key][i][0] for key in edge_keys} for i in range(4))
-    flags = {key: np.zeros(len(query.timestamps), dtype=bool) if detector is None
-             else _rolling_flags(passed[key][3], detector)[0] for key in edge_keys}
-    return SimTrace(timestamps=query.timestamps, kind=kind, seed=seed, edge_keys=edge_keys,
-                    true_values={e.key: query.true[e.child] for e in topology.edges},
-                    dp_noise=dp, injected=inj, noise_total=total, delivered=delivered, flags=flags,
+    own, injected = query.draws(query.streams(seed), 1)
+    totals = query.walk(own, injected)
+    delivered = [true + noise for true, noise in zip(query.true, totals)]
+    flags = [np.zeros(block.shape, dtype=bool) if detector is None
+             else _rolling_flags(block, detector) for block in delivered]
+    injected = [injected.get(i, np.zeros_like(block)) for i, block in enumerate(own)]
+    keys = [e.key for e in query.edges]
+    dp, inj, total, hit, flagged = (dict(zip(keys, (block[0] for block in blocks)))
+                                    for blocks in (own, injected, totals, delivered, flags))
+    return SimTrace(timestamps=query.timestamps, kind=kind, seed=seed, edge_keys=tuple(sorted(keys)),
+                    true_values=dict(zip(keys, query.true)), dp_noise=dp, injected=inj,
+                    noise_total=total, delivered=hit, flags=flagged,
                     plaintext_attack_edges=tuple(topology.plaintext_attack_edges()))
 
 
@@ -377,9 +373,11 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     as in run_query; run i is the i-th block of each, so run 0 draws what
     run_query(seed) draws, and the chunks of runs, sized by a byte budget,
     do not change the rates.  A clean run is its attacked run without the
-    injections.  The false positive rate counts flags on every edge of the
-    clean runs, the true positive rate flags on compromised edges inside
-    their attack windows; steps inside the detector warm-up count toward neither.
+    injections; both passes walk the whole tree.  A MASTER entry in
+    dp_policy draws nothing, since no edge carries the MASTER's output.
+    The false positive rate counts flags on every edge of the clean runs,
+    the true positive rate flags on compromised edges inside their attack
+    windows; steps inside the detector warm-up count toward neither.
     """
     if n_runs < 1000:
         raise ValueError(f"n_runs must be at least 1000, got {n_runs}")
@@ -391,19 +389,18 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
 
     streams = query.streams(seed)
     # True positives are scored on attacked edges, over the part of their window past warm-up.
-    scored = [(key, max(w, start), end)
-              for key, _, start, end, _ in streams[1] if end > max(w, start)]
+    scored = [(i, max(w, start), end)
+              for i, _, start, end, _ in streams[1] if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
     tp = fp = 0
     for first in range(0, n_runs, rows):
         own, injected = query.draws(streams, min(rows, n_runs - first))
-        clean = query.walk(own, {})
-        for *_, delivered in clean.values():
-            fp += int(_rolling_flags(delivered, detector)[:, w:].sum())
+        for true, noise in zip(query.true, query.walk(own, {})):
+            fp += int(_rolling_flags(true + noise, detector)[:, w:].sum())
         if scored:
-            hit = query.walk(own, injected, clean)
-            for key, start, end in scored:
-                tp += int(_rolling_flags(hit[key][3], detector)[:, start:end].sum())
+            hit = query.walk(own, injected)
+            for i, start, end in scored:
+                tp += int(_rolling_flags(query.true[i] + hit[i], detector)[:, start:end].sum())
     fpr = fp / (n_runs * len(topology.edges) * (n - w))
     tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
     tpr = tp / tp_opportunities if tp_opportunities else None

@@ -234,6 +234,15 @@ def test_bench_smoke(capsys):
     assert "config_hash" in payload
 
 
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_bench_rejects_batch_size_below_one(capsys, size):
+    code, out, err = run_cli(capsys, ["bench", "--batch-size", size, "--reps", "10"])
+    assert code == 2 and out == ""
+    payload = parse_json(err)
+    assert payload["command"] == "bench"
+    assert "--batch-size" in payload["error"]
+
+
 # ------------------------------------------------------------ error handling
 
 def test_validation_error_exits_2_with_json(capsys):

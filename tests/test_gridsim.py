@@ -65,6 +65,11 @@ def chain_topology(dp=None, attacker=None, window=None):
     return GridTopology(nodes=nodes, edges=edges, dp_policy=dp or {})
 
 
+# Wirings of two_pmu_topology's nodes for windowed_topology.
+TWO_LAYER = (("pmu1", "pdc1"), ("pmu2", "pdc1"), ("pdc1", "master"))
+DIRECT = (("pmu1", "pdc1"), ("pmu2", "master"), ("pdc1", "master"))  # pmu2 beside the PDC
+
+
 # -------------------------------------------------------------- validation
 
 def test_topology_validation_errors():
@@ -81,7 +86,7 @@ def test_topology_validation_errors():
         GridTopology((pmu, master), ())
     with pytest.raises(ValueError, match="no children"):
         GridTopology((pmu, pdc, master), (Edge("a", "m"), Edge("b", "m")))
-    for window in ((10.5, 20.5), (True, 5), (-1, 5), (5, 4)):
+    for window in ((10.5, 20.5), (True, 5), (-1, 5), (5, 4), (0, math.inf), (0, math.nan)):
         with pytest.raises(ValueError, match="bad attack window"):
             Edge("a", "m", attack_window=window)
 
@@ -91,6 +96,9 @@ def test_detector_validation():
         Detector(tau=0.0, window=10)
     with pytest.raises(ValueError):
         Detector(tau=1.0, window=0)
+    for window in (2.5, True):
+        with pytest.raises(ValueError, match="window must be an integer"):
+            Detector(tau=6.0, window=window)
 
 
 def test_missing_series_lists_pmus():
@@ -428,14 +436,15 @@ def reference_detection_rate(topology, series, kind, detector, n_runs, seed):
                           n_runs=n_runs)
 
 
-@pytest.mark.parametrize("windows, expect_tpr", [
-    ({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)}, True),  # two stacked layers
-    ({("pmu1", "pdc1"): (0, 5)}, False),  # wholly inside the warm-up
-    ({}, False),  # no attacker
-    ({("pdc1", "master"): (20, 48)}, True),  # upper edge only: no injection below its child
-], ids=["stacked", "warmup", "clean", "upper"])
-def test_detection_rate_equals_paired_run_query(windows, expect_tpr):
-    topo, series = windowed_topology(windows)
+@pytest.mark.parametrize("windows, wiring, expect_tpr", [
+    ({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)}, TWO_LAYER, True),  # stacked
+    ({("pmu1", "pdc1"): (0, 5)}, TWO_LAYER, False),  # wholly inside the warm-up
+    ({}, TWO_LAYER, False),  # no attacker
+    ({("pdc1", "master"): (20, 48)}, TWO_LAYER, True),  # upper edge only: nothing below it
+    ({("pmu2", "master"): (10, 30), ("pmu1", "pdc1"): (20, 40)}, DIRECT, True),
+], ids=["stacked", "warmup", "clean", "upper", "direct"])
+def test_detection_rate_equals_paired_run_query(windows, wiring, expect_tpr):
+    topo, series = windowed_topology(windows, wiring)
     det = Detector(tau=6.0, window=6)
     rates = detection_rate(topo, series, "sum", det, n_runs=1000, seed=11)
     assert rates == reference_detection_rate(topo, series, "sum", det, 1000, 11)
@@ -448,28 +457,45 @@ def test_draws_are_rows_of_one_whole_call_draw():
     windows = {("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (40, 10_000)}
     topo, series = windowed_topology(windows)
     query = gridsim._Query(topo, series, "sum")
+    keys = [e.key for e in query.edges]  # blocks are indexed by edge, edge i leaving node i
     own, injected = query.draws(query.streams(11), 10)
-    assert set(injected) == set(windows)
-    assert np.all(injected[("pdc1", "master")][:, 40:] != 0.0)
+    assert {keys[i] for i in injected} == set(windows)
+    assert np.all(injected[keys.index(("pdc1", "master"))][:, 40:] != 0.0)
     streams = query.streams(11)
     blocks = [query.draws(streams, rows) for rows in (1, 3, 6)]
-    for whole, part in ((own, 0), (injected, 1)):
-        for key, block in whole.items():
-            assert np.array_equal(np.concatenate([b[part][key] for b in blocks]), block)
+    for whole, part in ((dict(enumerate(own)), 0), (injected, 1)):
+        for i, block in whole.items():
+            assert np.array_equal(np.concatenate([b[part][i] for b in blocks]), block)
     trace = run_query(topo, series, "sum", None, seed=11)
-    for e in topo.edges:
-        assert np.array_equal(trace.dp_noise[e.key], own[e.child][0])
-        assert np.all(trace.injected[e.key] == (injected[e.key][0] if e.key in injected else 0.0))
+    for i, e in enumerate(query.edges):
+        assert np.array_equal(trace.dp_noise[e.key], own[i][0])
+        assert np.all(trace.injected[e.key] == (injected[i][0] if i in injected else 0.0))
 
 
-def windowed_topology(windows):
+def test_master_policy_draws_nothing():
+    # No edge carries the MASTER's output, so a MASTER entry in dp_policy changes nothing.
+    topo, series = windowed_topology({("pmu2", "master"): (10, 30)}, DIRECT)
+    policy = {layer: params for layer, params in topo.dp_policy.items() if layer != Layer.MASTER}
+    bare = GridTopology(topo.nodes, topo.edges, policy)
+    det = Detector(tau=6.0, window=6)
+    traces = [run_query(t, series, "sum", det, seed=11) for t in (topo, bare)]
+    for name in ("true_values", "dp_noise", "injected", "noise_total", "delivered", "flags"):
+        with_master, without = (getattr(trace, name) for trace in traces)
+        assert with_master.keys() == without.keys()
+        assert all(np.array_equal(with_master[k], without[k]) for k in with_master)
+    assert traces[0].summary() == traces[1].summary()
+    assert (detection_rate(topo, series, "sum", det, 1000, 11)
+            == detection_rate(bare, series, "sum", det, 1000, 11))
+
+
+def windowed_topology(windows, wiring=TWO_LAYER):
     # Every node noisy; one attacker on each edge named in windows.
     pmu = PrivacyParams(2.0, 0.5)
     attacker = AttackProfile.solve(2.0, pmu)
     edges = tuple(
         Edge(child, parent, attacker=attacker if (child, parent) in windows else None,
              attack_window=windows.get((child, parent)))
-        for child, parent in (("pmu1", "pdc1"), ("pmu2", "pdc1"), ("pdc1", "master"))
+        for child, parent in wiring
     )
     topo = GridTopology(
         nodes=two_pmu_topology().nodes, edges=edges,
