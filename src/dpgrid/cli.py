@@ -61,7 +61,7 @@ def _config_hash(args: argparse.Namespace) -> str:
         params["topology"] = _file_sha256(args.topology)
     if params.get("series"):
         # Mirrors the series map the simulation builds: the last file per node wins.
-        params["series"] = {node: _file_sha256(path) for node, path in args.series}
+        params["series"] = {node: _file_sha256(path) for node, path in dict(args.series).items()}
     canonical = json.dumps(params, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -142,7 +142,8 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
     if args.n_runs is not None and args.tau is None:
         raise ValueError("--n-runs estimates detection rates and needs a detector: set --tau")
     topology = load_topology(args.topology)
-    series_map = {node: ingest_csv(path) for node, path in args.series or []}
+    # The last file per node wins; earlier ones are not read.
+    series_map = {node: ingest_csv(path) for node, path in dict(args.series or []).items()}
     if args.synth_days:
         for pmu in topology.pmu_ids():
             if pmu not in series_map:

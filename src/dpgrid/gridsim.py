@@ -66,8 +66,14 @@ class Edge:
 
     def __post_init__(self) -> None:
         if self.attack_window is not None:
-            start, end = self.attack_window
-            if not 0 <= start <= end < math.inf or any(isinstance(t, bool) or t % 1 for t in (start, end)):
+            try:
+                start, end = self.attack_window
+                ok = 0 <= start <= end < math.inf and not any(
+                    isinstance(t, bool) or t % 1 for t in (start, end)
+                )
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
                 raise ValueError(f"bad attack window {self.attack_window}")
             object.__setattr__(self, "attack_window", (int(start), int(end)))
 
@@ -88,7 +94,7 @@ class Detector:
     window: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
+        if isinstance(self.tau, bool) or not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         w = self.window
         if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:

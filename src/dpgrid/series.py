@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from .seeds import derive_rng
 CHANNELS = ("power_kwh", "voltage")
 
 _QUALITY_OK = {"", "ok", "good", "1"}
+_NAT = np.datetime64("NaT", "us")
 
 # Household-style hourly consumption shape in kWh: overnight trough,
 # morning ramp, evening peak.
@@ -81,22 +83,52 @@ class MeasurementSeries:
         return replace(self, values=np.asarray(values, dtype=np.float64), mask=new_mask)
 
 
-def _parse_timestamp(text: str) -> np.datetime64:
+def _strip_utc(text: str) -> str:
     cleaned = text.strip()
     if cleaned.endswith("Z"):
-        cleaned = cleaned[:-1]
-    elif cleaned.endswith("+00:00"):
-        cleaned = cleaned[:-6]
-    return np.datetime64(cleaned, "us")
+        return cleaned[:-1]
+    return cleaned[:-6] if cleaned.endswith("+00:00") else cleaned
+
+
+def _or_missing(missing, parse, *args):
+    try:
+        return parse(*args)
+    except ValueError:
+        return missing
+
+
+def _parse_timestamps(stamps: list) -> np.ndarray:
+    """Parse a timestamp column whose first entry is data row 2.
+
+    Plain stamps parse in one call.  numpy warns on a zone suffix or a
+    trailing blank, so such a column is parsed again after _strip_utc.
+    The first empty, NaT or unparseable stamp raises.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = np.array(stamps, dtype="datetime64[us]")
+    except (ValueError, Warning):
+        cleaned = [_strip_utc(text) for text in stamps]
+        try:
+            ts = np.array(cleaned, dtype="datetime64[us]")
+        except ValueError:
+            ts = np.array([_or_missing(_NAT, np.datetime64, text, "us") for text in cleaned])
+    bad = np.flatnonzero(np.isnat(ts))
+    if bad.size:
+        raise ValueError(f"row {bad[0] + 2}: bad timestamp {stamps[bad[0]]!r}")
+    return ts
 
 
 def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
-    """Load a measurement CSV.
+    """Load a measurement CSV column by column.
 
     Rows whose value field does not parse as a float become
     masked-missing readings; a quality field outside {'', ok, good, 1}
     masks the row as well.  A malformed header or an empty file is an
-    error, as are non-increasing timestamps.
+    error, as are a row of the wrong width, an empty, NaT or bad
+    timestamp and a timestamp not after the one above; each row error
+    names the first bad row.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
@@ -105,36 +137,37 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
     header = [c.strip().lower() for c in rows[0]]
     if header not in (["timestamp", "value"], ["timestamp", "value", "quality"]):
         raise ValueError("malformed header: expected 'timestamp,value[,quality]'")
-    has_quality = len(header) == 3
-    if len(rows) == 1:
+    data = rows[1:]
+    if not data:
         raise ValueError(f"no data rows in {path}")
+    n = len(data)
 
-    timestamps = []
-    values = []
-    mask = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            timestamps.append(_parse_timestamp(row[0]))
-        except ValueError as exc:
-            raise ValueError(f"row {lineno}: bad timestamp {row[0]!r}") from exc
-        try:
-            value = float(row[1])
-            present = math.isfinite(value)
-        except ValueError:
-            value, present = math.nan, False
-        if has_quality and row[2].strip().lower() not in _QUALITY_OK:
-            present = False
-        values.append(value if present else math.nan)
-        mask.append(present)
+    bad_width = np.flatnonzero(np.fromiter(map(len, data), np.intp, n) != len(header))
+    if bad_width.size:
+        first = bad_width[0]
+        _parse_timestamps([r[0] for r in data[:first]])  # a bad stamp above it comes first
+        raise ValueError(f"row {first + 2}: expected {len(header)} fields, got {len(data[first])}")
+    stamps = [r[0] for r in data]
+    timestamps = _parse_timestamps(stamps)
+    back = np.flatnonzero(timestamps[1:] <= timestamps[:-1]) + 1
+    if back.size:
+        i = back[0]
+        raise ValueError(
+            f"row {i + 2}: timestamps must be strictly increasing "
+            f"({stamps[i]!r} is not after {stamps[i - 1]!r})"
+        )
 
-    return MeasurementSeries(
-        timestamps=np.array(timestamps, dtype="datetime64[us]"),
-        values=np.array(values),
-        mask=np.array(mask),
-        channel=channel,
-    )
+    texts = [r[1] for r in data]
+    try:
+        values = np.fromiter(map(float, texts), np.float64, n)
+    except ValueError:
+        values = np.array([_or_missing(math.nan, float, text) for text in texts])
+    mask = np.isfinite(values)
+    if len(header) == 3:
+        quality = [r[2] for r in data]
+        ok = {q for q in set(quality) if q.strip().lower() in _QUALITY_OK}
+        mask &= np.fromiter(map(ok.__contains__, quality), bool, n)
+    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask, channel=channel)
 
 
 def write_csv(path, header, rows, metadata: dict | None = None) -> None:

@@ -1,13 +1,20 @@
 """Shared numerical oracles: quadrature and goodness-of-fit helpers.
 
 These deliberately avoid the package's own closed forms so tests can
-cross-check implementations against independent numerics.
+cross-check implementations against independent numerics.  The CSV
+reader at the end is the row-by-row ingest the column-wise
+series.ingest_csv replaced, kept as its reference.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 from scipy import integrate, stats
+
+from dpgrid.series import MeasurementSeries
 
 
 def total_mass(pdf, center: float) -> float:
@@ -105,3 +112,56 @@ def log_tilted_density(theta: float, scale: float, k1: float):
         return log_norm - np.abs(z) / scale + z / k1
 
     return logpdf
+
+
+_QUALITY_OK = {"", "ok", "good", "1"}
+
+
+def _parse_timestamp(text: str) -> np.datetime64:
+    cleaned = text.strip()
+    if cleaned.endswith("Z"):
+        cleaned = cleaned[:-1]
+    elif cleaned.endswith("+00:00"):
+        cleaned = cleaned[:-6]
+    return np.datetime64(cleaned, "us")
+
+
+def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:
+    """Row-by-row measurement CSV reader: one datetime64 and one float per row."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValueError(f"empty file: {path}")
+    header = [c.strip().lower() for c in rows[0]]
+    if header not in (["timestamp", "value"], ["timestamp", "value", "quality"]):
+        raise ValueError("malformed header: expected 'timestamp,value[,quality]'")
+    has_quality = len(header) == 3
+    if len(rows) == 1:
+        raise ValueError(f"no data rows in {path}")
+
+    timestamps = []
+    values = []
+    mask = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            timestamps.append(_parse_timestamp(row[0]))
+        except ValueError as exc:
+            raise ValueError(f"row {lineno}: bad timestamp {row[0]!r}") from exc
+        try:
+            value = float(row[1])
+            present = math.isfinite(value)
+        except ValueError:
+            value, present = math.nan, False
+        if has_quality and row[2].strip().lower() not in _QUALITY_OK:
+            present = False
+        values.append(value if present else math.nan)
+        mask.append(present)
+
+    return MeasurementSeries(
+        timestamps=np.array(timestamps, dtype="datetime64[us]"),
+        values=np.array(values),
+        mask=np.array(mask),
+        channel=channel,
+    )

@@ -160,6 +160,21 @@ def test_simulate_with_series_files(capsys, topology_file, tmp_path):
     assert parse_json(out)["n_timesteps"] == 48
 
 
+def test_simulate_reads_only_the_last_series_per_node(capsys, topology_file, tmp_path):
+    from dpgrid.series import export_csv
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,value\nnot-a-time,1.0\n")
+    good = tmp_path / "good.csv"
+    export_csv(synth_pmu(days=2, seed=1), good)
+    code, out, err = run_cli(capsys, [
+        "simulate", "--topology", str(topology_file),
+        "--series", f"pmu1={bad}", "--series", f"pmu1={good}",
+    ])
+    assert code == 0, err
+    assert parse_json(out)["n_timesteps"] == 48
+
+
 def test_simulate_missing_series_fails_cleanly(capsys, topology_file):
     code, _, err = run_cli(capsys, ["simulate", "--topology", str(topology_file)])
     assert code == 2

@@ -86,7 +86,8 @@ def test_topology_validation_errors():
         GridTopology((pmu, master), ())
     with pytest.raises(ValueError, match="no children"):
         GridTopology((pmu, pdc, master), (Edge("a", "m"), Edge("b", "m")))
-    for window in ((10.5, 20.5), (True, 5), (-1, 5), (5, 4), (0, math.inf), (0, math.nan)):
+    for window in ((10.5, 20.5), (True, 5), (-1, 5), (5, 4), (0, math.inf), (0, math.nan),
+                   (1, 2, 3), (1,), 5, "ab", (None, 3)):
         with pytest.raises(ValueError, match="bad attack window"):
             Edge("a", "m", attack_window=window)
 
@@ -99,6 +100,8 @@ def test_detector_validation():
     for window in (2.5, True):
         with pytest.raises(ValueError, match="window must be an integer"):
             Detector(tau=6.0, window=window)
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        Detector(True, 5)
 
 
 def test_missing_series_lists_pmus():

@@ -1,7 +1,10 @@
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ingest_csv_by_rows
 
 from dpgrid.series import (
     DEFAULT_DAILY_PROFILE,
@@ -117,6 +120,108 @@ def test_ingest_non_increasing_timestamps(tmp_path):
     )
     with pytest.raises(ValueError, match="strictly increasing"):
         ingest_csv(path)
+
+
+def test_ingest_names_the_first_non_increasing_row(tmp_path):
+    path = _write(
+        tmp_path,
+        "timestamp,value\n"
+        "# a comment row is not counted\n"
+        "2018-10-14T00:00:00,1.0\n"
+        "2018-10-14T00:00:02,2.0\n"
+        "2018-10-14T00:00:01,3.0\n"
+        "2018-10-14T00:00:00,4.0\n",
+    )
+    with pytest.raises(ValueError, match=r"^row 4: timestamps must be strictly increasing"):
+        ingest_csv(path)
+
+
+def test_ingest_rejects_empty_timestamp(tmp_path):
+    path = _write(tmp_path, "timestamp,value\n,1.0\n")
+    with pytest.raises(ValueError, match=r"^row 2: bad timestamp ''$"):
+        ingest_csv(path)
+
+
+def test_ingest_rejects_nat_timestamp_mid_file(tmp_path):
+    path = _write(
+        tmp_path,
+        "timestamp,value\n"
+        "2018-10-14T00:00:00,1.0\n"
+        "NaT,2.0\n"
+        "2018-10-14T00:00:02,3.0\n",
+    )
+    with pytest.raises(ValueError, match=r"^row 3: bad timestamp 'NaT'$"):
+        ingest_csv(path)
+
+
+def test_ingest_reports_the_first_bad_row_of_either_kind(tmp_path):
+    bad_stamp_first = "timestamp,value\nsoon,1.0\n2018-10-14T00:00:01\n"
+    short_row_first = "timestamp,value\n2018-10-14T00:00:01\nsoon,1.0\n"
+    with pytest.raises(ValueError, match="row 2: bad timestamp 'soon'"):
+        ingest_csv(_write(tmp_path, bad_stamp_first))
+    with pytest.raises(ValueError, match="row 2: expected 2 fields, got 1"):
+        ingest_csv(_write(tmp_path, short_row_first))
+
+
+_STAMP_TEXTS = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "Z", "+00:00"]), st.sampled_from(["", " "])
+)
+_VALUE_TEXTS = st.one_of(
+    st.sampled_from(["", "oops", "nan", "-nan", "inf", "-inf", "1_000", " 1.5 ", "1e400"]),
+    st.floats(width=64).map(repr),
+)
+_QUALITY_TEXTS = st.sampled_from(["", "ok", "OK", " good ", "1", "bad", "0", "Good\t"])
+
+
+@st.composite
+def measurement_csv(draw):
+    """CSV text in the ingest format, mostly valid, always increasing.
+
+    Stamps carry UTC suffixes and blank padding, values are sometimes
+    quoted, and '#' and blank lines sit between the data rows.
+
+    NaT stamps and non-increasing rows are never drawn: their errors
+    changed on purpose (both now name their row) and the row-by-row
+    reference gives the old ones.  A bad stamp or a row of the wrong
+    width is drawn now and then, so error messages are compared too.
+    """
+    quality = draw(st.booleans())
+    header = draw(st.sampled_from(["timestamp,value", " Timestamp , VALUE "]))
+    lines = [header + (",quality" if quality else "")]
+    micros = 0
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["# note", "  #x,y", ""])))
+        micros += draw(st.sampled_from([1, 250_000, 1_000_000, 3_600_000_000]))
+        stamp = (datetime(2018, 10, 14) + timedelta(microseconds=micros)).isoformat()
+        lead, zone, trail = draw(_STAMP_TEXTS)
+        quote = draw(st.sampled_from(["", '"']))
+        fields = [lead + stamp + zone + trail, quote + draw(_VALUE_TEXTS) + quote]
+        if quality:
+            fields.append(draw(_QUALITY_TEXTS))
+        fault = draw(st.integers(0, 60))
+        if fault == 0:
+            fields[0] = "2018-13-01"
+        elif fault == 1:
+            fields.pop()
+        lines.append(",".join(fields))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def _ingest_outcome(reader, path):
+    try:
+        s = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return s.timestamps.tobytes(), s.values.tobytes(), s.mask.tobytes()
+
+
+@settings(derandomize=True, max_examples=150)
+@given(text=measurement_csv())
+def test_ingest_matches_row_by_row_reference(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("eq") / "m.csv"
+    path.write_bytes(text.encode())
+    assert _ingest_outcome(ingest_csv, path) == _ingest_outcome(ingest_csv_by_rows, path)
 
 
 # --------------------------------------------------------------- round trip
