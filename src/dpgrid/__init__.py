@@ -6,127 +6,58 @@ stealth budget, invert that relationship to calibrate the privacy loss
 against an impact cap, simulate the resulting policy on a measurement
 tree, price it in forecast space, and benchmark how cheap in-channel
 manipulation is compared to an encrypted baseline.
+
+Importing the package loads no submodule: each public name imports its
+module on first access (PEP 562), so a command pays only for what it
+runs.
 """
 
-from .adversary import (
-    AttackProfile,
-    attack_pdf,
-    kl_from_k1,
-    optimal_impact,
-    sample_attack_noise,
-    solve_k1,
-)
-from .bench import BenchResult, run_bench
-from .calibrate import (
-    BoundaryCase,
-    DesignResult,
-    DesignSpec,
-    boundary_report,
-    calibrate_epsilon,
-    solve_design_k1,
-)
-from .forecasting import (
-    ForecastConfig,
-    forecast,
-    holt_winters_forecast,
-    seasonal_naive_forecast,
-)
-from .gridsim import (
-    Detector,
-    DetectionRates,
-    Edge,
-    GridTopology,
-    Layer,
-    Node,
-    SimTrace,
-    SweepPoint,
-    detection_rate,
-    impact_sweep,
-    load_topology,
-    run_query,
-    save_topology,
-    topology_from_dict,
-    topology_to_dict,
-)
-from .laplace import (
-    Dataset,
-    IndistinguishabilityReport,
-    NoisyResult,
-    PrivacyParams,
-    adjacent,
-    dp_query,
-    indistinguishability_check,
-    laplace_pdf,
-    params_for_mean,
-    params_for_sum,
-    sample_laplace,
-)
-from .qos import (
-    CostReport,
-    UtilityReport,
-    cost_analysis,
-    dp_protect,
-    inject_attack,
-    utility_report,
-)
-from .series import MeasurementSeries, export_csv, ingest_csv, resample, synth_pmu
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackProfile",
-    "BenchResult",
-    "BoundaryCase",
-    "CostReport",
-    "Dataset",
-    "DesignResult",
-    "DesignSpec",
-    "DetectionRates",
-    "Detector",
-    "Edge",
-    "ForecastConfig",
-    "GridTopology",
-    "IndistinguishabilityReport",
-    "Layer",
-    "MeasurementSeries",
-    "Node",
-    "NoisyResult",
-    "PrivacyParams",
-    "SimTrace",
-    "SweepPoint",
-    "UtilityReport",
-    "adjacent",
-    "attack_pdf",
-    "boundary_report",
-    "calibrate_epsilon",
-    "cost_analysis",
-    "detection_rate",
-    "dp_protect",
-    "dp_query",
-    "export_csv",
-    "forecast",
-    "holt_winters_forecast",
-    "impact_sweep",
-    "indistinguishability_check",
-    "ingest_csv",
-    "inject_attack",
-    "kl_from_k1",
-    "laplace_pdf",
-    "load_topology",
-    "optimal_impact",
-    "params_for_mean",
-    "params_for_sum",
-    "resample",
-    "run_bench",
-    "run_query",
-    "sample_attack_noise",
-    "sample_laplace",
-    "save_topology",
-    "seasonal_naive_forecast",
-    "solve_design_k1",
-    "solve_k1",
-    "synth_pmu",
-    "topology_from_dict",
-    "topology_to_dict",
-    "utility_report",
-]
+# The module that defines each public name.
+_MODULES = {
+    "adversary": (
+        "AttackProfile", "attack_pdf", "kl_from_k1", "optimal_impact",
+        "sample_attack_noise", "solve_k1",
+    ),
+    "bench": ("BenchResult", "run_bench"),
+    "calibrate": (
+        "BoundaryCase", "DesignResult", "DesignSpec", "boundary_report",
+        "calibrate_epsilon", "solve_design_k1",
+    ),
+    "forecasting": (
+        "ForecastConfig", "forecast", "holt_winters_forecast", "seasonal_naive_forecast",
+    ),
+    "gridsim": (
+        "Detector", "DetectionRates", "Edge", "GridTopology", "Layer", "Node", "SimTrace",
+        "SweepPoint", "detection_rate", "impact_sweep", "load_topology", "run_query",
+        "save_topology", "topology_from_dict", "topology_to_dict",
+    ),
+    "laplace": (
+        "Dataset", "IndistinguishabilityReport", "NoisyResult", "PrivacyParams", "adjacent",
+        "dp_query", "indistinguishability_check", "laplace_pdf", "params_for_mean",
+        "params_for_sum", "sample_laplace",
+    ),
+    "qos": (
+        "CostReport", "UtilityReport", "cost_analysis", "dp_protect", "inject_attack",
+        "utility_report",
+    ),
+    "series": ("MeasurementSeries", "export_csv", "ingest_csv", "resample", "synth_pmu"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from cryptography.hazmat.primitives import padding
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .adversary import AttackProfile, sample_attack_noise
 from .laplace import PrivacyParams
@@ -88,7 +86,12 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+# cryptography is imported where AES runs: importing this module for
+# BenchResult or _cpu_model does not load it.
 def _encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
+    from cryptography.hazmat.primitives import padding
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
     padder = padding.PKCS7(_BLOCK_BITS).padder()
     padded = padder.update(plaintext) + padder.finalize()
     enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
@@ -96,6 +99,9 @@ def _encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 
 
 def _decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
+    from cryptography.hazmat.primitives import padding
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
     dec = Cipher(algorithms.AES(key), modes.CBC(iv)).decryptor()
     padded = dec.update(ciphertext) + dec.finalize()
     unpadder = padding.PKCS7(_BLOCK_BITS).unpadder()

@@ -10,6 +10,10 @@ parsed arguments, output paths excepted, with input files entering by
 the sha256 of their bytes, so outputs can be traced back to the exact
 invocation.  Exit status: 0 on success, 2 on usage or validation
 errors.
+
+Each command imports the library modules it runs when it runs, so
+importing this module loads no numpy and a command pays at start-up only
+for what it uses.
 """
 
 from __future__ import annotations
@@ -20,25 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
-
-from .adversary import AttackProfile
-from .bench import run_bench
-from .calibrate import DesignSpec, calibrate_epsilon
-from .forecasting import ForecastConfig
-from .gridsim import (
-    QUERY_KINDS,
-    Detector,
-    detection_rate,
-    impact_sweep,
-    load_topology,
-    run_query,
-    sweep_to_csv,
-)
-from .laplace import PrivacyParams
-from .qos import cost_analysis, dp_protect, inject_attack
-from .seeds import derive_seed
-from .series import export_csv, ingest_csv, resample, synth_pmu
 
 OUTPUT_DIR_ENV = "DPGRID_OUTPUT_DIR"
 # Arguments that name where outputs go, not what they contain.
@@ -100,6 +85,10 @@ def _series_assignment(text: str) -> tuple:
 
 
 def _cmd_calibrate(args: argparse.Namespace, config_hash: str) -> int:
+    from dataclasses import asdict
+
+    from .calibrate import DesignSpec, calibrate_epsilon
+
     spec = DesignSpec(
         sensitivity=args.sensitivity,
         gamma=args.gamma,
@@ -113,6 +102,9 @@ def _cmd_calibrate(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_impact(args: argparse.Namespace, config_hash: str) -> int:
+    from .adversary import AttackProfile
+    from .laplace import PrivacyParams
+
     base = PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon, theta=args.theta)
     profile = AttackProfile.solve(args.gamma, base)
     payload = {
@@ -131,6 +123,8 @@ def _cmd_impact(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
+    from .gridsim import impact_sweep, sweep_to_csv
+
     points = impact_sweep(args.epsilons, args.gammas, args.sensitivities, theta=args.theta)
     out = _resolve_out(args.out)
     sweep_to_csv(points, out, metadata={"config_hash": config_hash})
@@ -139,6 +133,12 @@ def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
+    from dataclasses import asdict
+
+    from .gridsim import Detector, detection_rate, load_topology, run_query
+    from .seeds import derive_seed
+    from .series import ingest_csv, synth_pmu
+
     if args.n_runs is not None and args.tau is None:
         raise ValueError("--n-runs estimates detection rates and needs a detector: set --tau")
     topology = load_topology(args.topology)
@@ -168,6 +168,15 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
+    from dataclasses import asdict
+
+    from .adversary import AttackProfile
+    from .forecasting import ForecastConfig
+    from .laplace import PrivacyParams
+    from .qos import cost_analysis, dp_protect, inject_attack
+    from .seeds import derive_seed
+    from .series import export_csv, resample, synth_pmu
+
     # The default window depends only on --days, so the hash of the
     # unresolved None still names one output.
     start = max(0, args.days - 78) if args.attack_start is None else args.attack_start
@@ -195,6 +204,12 @@ def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, config_hash: str) -> int:
+    from .adversary import AttackProfile
+    from .bench import run_bench
+    from .laplace import PrivacyParams
+    from .seeds import derive_seed
+    from .series import synth_pmu
+
     if args.batch_size < 1:
         raise ValueError(f"--batch-size must be at least 1, got {args.batch_size}")
     days = max(1, math.ceil(args.batch_size / 24))
@@ -211,6 +226,8 @@ def _cmd_bench(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace, config_hash: str) -> int:
+    from .series import export_csv, synth_pmu
+
     series = synth_pmu(
         days=args.days,
         noise_level=args.noise_level,
@@ -261,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NODE=PATH")
     p.add_argument("--synth-days", type=int, default=None,
                    help="generate synthetic series for PMUs without one")
-    p.add_argument("--kind", choices=QUERY_KINDS, default="hourly_mean")
+    p.add_argument("--kind", default="hourly_mean")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--window", type=int, default=24)
     p.add_argument("--n-runs", type=int, default=None,

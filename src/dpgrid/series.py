@@ -2,7 +2,9 @@
 
 The on-disk format is a plain CSV with header ``timestamp,value`` and
 an optional third ``quality`` column.  Timestamps are ISO-8601 and
-interpreted as UTC; values are decimal floats, with an empty or
+interpreted as UTC: a ``Z`` or ``+00:00`` suffix is allowed, any other
+zone is an error, as are ``now``, ``today`` and a year that
+datetime64[us] cannot hold.  Values are decimal floats, with an empty or
 unparseable field marking a missing reading.  Lines starting with '#'
 carry metadata (e.g. the config hash of the run that produced the
 file) and are skipped on ingest.  write_csv writes every CSV output.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,6 +26,10 @@ CHANNELS = ("power_kwh", "voltage")
 
 _QUALITY_OK = {"", "ok", "good", "1"}
 _NAT = np.datetime64("NaT", "us")
+# The whole years datetime64[us] holds.  numpy parses 'now', 'today' and a
+# year outside these without a word: as the time of the run, or wrapped.
+_YEARS = range(-290307, 294247)
+_YEAR = re.compile(r"\s*([-+]?\d+)")
 
 # Household-style hourly consumption shape in kWh: overnight trough,
 # morning ramp, evening peak.
@@ -93,27 +100,55 @@ def _strip_utc(text: str) -> str:
 def _or_missing(missing, parse, *args):
     try:
         return parse(*args)
-    except ValueError:
+    except (ValueError, Warning):  # numpy warns on a time zone
         return missing
+
+
+def _in_years(text: str) -> bool:
+    year = _YEAR.match(text)
+    return year is not None and int(year[1]) in _YEARS
+
+
+def _four_digit_years(stamps: list) -> bool:
+    """Whether every stamp starts with a digit and has '-' fifth.
+
+    Such a stamp's year has at most four digits, so it lies in _YEARS.
+    The test reads the column as one byte array, so it takes only stamps
+    of one width, as programs write them; for any other column it
+    returns False and each stamp's year is read by itself.
+    """
+    n, width = len(stamps), len(stamps[0]) if stamps else 0
+    text = ("\n".join(stamps) + "\n").encode()
+    if width < 5 or len(text) != n * (width + 1) or text.count(b"\n") != n:
+        return False
+    chars = np.frombuffer(text, np.uint8).reshape(n, width + 1)
+    first = chars[:, 0]
+    return bool(np.all((first >= ord("0")) & (first <= ord("9")) & (chars[:, 4] == ord("-"))
+                       & (chars[:, width] == ord("\n"))))
 
 
 def _parse_timestamps(stamps: list) -> np.ndarray:
     """Parse a timestamp column whose first entry is data row 2.
 
     Plain stamps parse in one call.  numpy warns on a zone suffix or a
-    trailing blank, so such a column is parsed again after _strip_utc.
-    The first empty, NaT or unparseable stamp raises.
+    trailing blank, so such a column is parsed again after _strip_utc;
+    a zone other than UTC still warns and marks its stamp bad, as do
+    'now', 'today' and a year outside _YEARS.  The first empty, NaT or
+    bad stamp raises.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ts = np.array(stamps, dtype="datetime64[us]")
-    except (ValueError, Warning):
-        cleaned = [_strip_utc(text) for text in stamps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            ts = np.array(cleaned, dtype="datetime64[us]")
-        except ValueError:
-            ts = np.array([_or_missing(_NAT, np.datetime64, text, "us") for text in cleaned])
+            texts = stamps
+            ts = np.array(texts, dtype="datetime64[us]")
+        except (ValueError, Warning):
+            texts = [_strip_utc(text) for text in stamps]
+            try:
+                ts = np.array(texts, dtype="datetime64[us]")
+            except (ValueError, Warning):
+                ts = np.array([_or_missing(_NAT, np.datetime64, text, "us") for text in texts])
+    if not _four_digit_years(texts):
+        ts[~np.fromiter(map(_in_years, texts), bool, len(texts))] = _NAT
     bad = np.flatnonzero(np.isnat(ts))
     if bad.size:
         raise ValueError(f"row {bad[0] + 2}: bad timestamp {stamps[bad[0]]!r}")
@@ -127,8 +162,8 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
     masked-missing readings; a quality field outside {'', ok, good, 1}
     masks the row as well.  A malformed header or an empty file is an
     error, as are a row of the wrong width, an empty, NaT or bad
-    timestamp and a timestamp not after the one above; each row error
-    names the first bad row.
+    timestamp (see the module docstring) and a timestamp not after the
+    one above; each row error names the first bad row.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]

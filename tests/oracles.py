@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
 
 import numpy as np
 from scipy import integrate, stats
@@ -118,12 +120,25 @@ _QUALITY_OK = {"", "ok", "good", "1"}
 
 
 def _parse_timestamp(text: str) -> np.datetime64:
+    """One ISO-8601 UTC stamp; anything else raises ValueError.
+
+    An empty stamp, NaT, 'now', 'today', a zone other than UTC and a
+    year outside the whole years datetime64[us] holds are rejected.
+    """
     cleaned = text.strip()
     if cleaned.endswith("Z"):
         cleaned = cleaned[:-1]
     elif cleaned.endswith("+00:00"):
         cleaned = cleaned[:-6]
-    return np.datetime64(cleaned, "us")
+    year = re.match(r"[-+]?\d+", cleaned)
+    if year is None or not -290307 <= int(year[0]) <= 294246:
+        raise ValueError(f"no year in datetime64[us]'s range: {text!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.datetime64(cleaned, "us")
+        except UserWarning as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:

@@ -326,6 +326,16 @@ _FRACTIONAL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [10.5, 20.
 _BOOL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [True, 20]}, _GOOD_EDGES[1]]
 _HUGE_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [0, 10**400]}, _GOOD_EDGES[1]]
 _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
+_CHAIN = {"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}
+
+
+def _stamped_series(stamp):
+    """Arguments giving pmu1 a series whose row 3 is stamped `stamp`."""
+    def extra(tmp_path):
+        path = tmp_path / "pmu1.csv"
+        path.write_text(f"timestamp,value\n2018-01-01T00:00:00,1.0\n{stamp},2.0\n")
+        return ["--series", f"pmu1={path}"]
+    return extra
 
 
 @pytest.mark.parametrize("topology, extra, needle", [
@@ -351,13 +361,22 @@ _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
      "topology.edges[0].attack_window must be [start, end] of whole timesteps"),
     ({"nodes": _CHAIN_NODES, "edges": _HUGE_WINDOW_EDGES}, [],
      "topology.edges[0].attack_window must be a number"),
+    (_CHAIN, ["--kind", "bogus"], "expected one of ('hourly_mean', 'sum')"),
+    (_CHAIN, _stamped_series("2018-01-01T05:00+01:00"),
+     "row 3: bad timestamp '2018-01-01T05:00+01:00'"),
+    (_CHAIN, _stamped_series("now"), "row 3: bad timestamp 'now'"),
+    (_CHAIN, _stamped_series("Today"), "row 3: bad timestamp 'Today'"),
+    (_CHAIN, _stamped_series("300000-01-01"), "row 3: bad timestamp '300000-01-01'"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
-        "huge-window"])
+        "huge-window", "unknown-kind", "non-utc-stamp", "now-stamp", "today-stamp",
+        "year-beyond-datetime64"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))
+    if callable(extra):
+        extra = extra(tmp_path)
     code, _, err = run_cli(capsys, [
         "simulate", "--topology", str(path), "--synth-days", "2", *extra,
     ])

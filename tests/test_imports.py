@@ -1,0 +1,49 @@
+"""The package loads its modules lazily, and each CLI command only its own."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import dpgrid
+
+_CALIBRATE = ("from dpgrid import cli; code = cli.main(['calibrate', '--sensitivity', '2', "
+              "'--gamma', '2', '--max-deviation', '50'])\nassert code == 0")
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import dpgrid", {"numpy"}),
+    ("import dpgrid.cli", {"numpy"}),
+    ("from dpgrid.bench import _cpu_model", {"cryptography"}),
+    (_CALIBRATE, {"dpgrid.gridsim", "dpgrid.bench", "cryptography"}),
+], ids=["package", "cli", "bench", "calibrate"])
+def test_import_loads_only_what_runs(code, absent):
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert loaded.isdisjoint(absent)
+
+
+def test_public_names_are_the_defining_modules_objects():
+    for name in dpgrid.__all__:
+        namespace = {}
+        exec(f"from dpgrid import {name}", namespace)
+        obj = namespace[name]
+        assert obj.__module__.startswith("dpgrid."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from dpgrid import *", namespace)
+    assert set(dpgrid.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dpgrid.no_such_name
+    with pytest.raises(ImportError):
+        exec("from dpgrid import no_such_name", {})

@@ -171,6 +171,11 @@ _VALUE_TEXTS = st.one_of(
     st.floats(width=64).map(repr),
 )
 _QUALITY_TEXTS = st.sampled_from(["", "ok", "OK", " good ", "1", "bad", "0", "Good\t"])
+# Stamps outside ISO-8601 UTC, which ingest must reject.
+_BAD_STAMPS = st.sampled_from([
+    "2018-13-01", "", "NaT", "now", "Today", "2018-10-14T00:00+01:00", " 2018-10-14T00:00-05:00",
+    "300000-01-01", "-300000-01-01T00:00Z", "20181014",
+])
 
 
 @st.composite
@@ -180,10 +185,10 @@ def measurement_csv(draw):
     Stamps carry UTC suffixes and blank padding, values are sometimes
     quoted, and '#' and blank lines sit between the data rows.
 
-    NaT stamps and non-increasing rows are never drawn: their errors
-    changed on purpose (both now name their row) and the row-by-row
-    reference gives the old ones.  A bad stamp or a row of the wrong
-    width is drawn now and then, so error messages are compared too.
+    Non-increasing rows are never drawn: their error changed on purpose
+    (it now names its row) and the row-by-row reference gives the old
+    one.  A bad stamp (_BAD_STAMPS) or a row of the wrong width is drawn
+    now and then, so error messages are compared too.
     """
     quality = draw(st.booleans())
     header = draw(st.sampled_from(["timestamp,value", " Timestamp , VALUE "]))
@@ -201,7 +206,7 @@ def measurement_csv(draw):
             fields.append(draw(_QUALITY_TEXTS))
         fault = draw(st.integers(0, 60))
         if fault == 0:
-            fields[0] = "2018-13-01"
+            fields[0] = draw(_BAD_STAMPS)
         elif fault == 1:
             fields.pop()
         lines.append(",".join(fields))
