@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # The module that defines each public name.
 _MODULES = {
     "adversary": (
-        "AttackProfile", "attack_pdf", "kl_from_k1", "optimal_impact",
-        "sample_attack_noise", "solve_k1",
+        "AttackProfile", "SweepPoint", "attack_pdf", "impact_sweep", "kl_from_k1",
+        "optimal_impact", "sample_attack_noise", "solve_k1",
     ),
     "bench": ("BenchResult", "run_bench"),
     "calibrate": (
@@ -32,8 +32,8 @@ _MODULES = {
     ),
     "gridsim": (
         "Detector", "DetectionRates", "Edge", "GridTopology", "Layer", "Node", "SimTrace",
-        "SweepPoint", "detection_rate", "impact_sweep", "load_topology", "run_query",
-        "save_topology", "topology_from_dict", "topology_to_dict",
+        "detection_rate", "load_topology", "run_query", "save_topology", "topology_from_dict",
+        "topology_to_dict",
     ),
     "laplace": (
         "Dataset", "IndistinguishabilityReport", "NoisyResult", "PrivacyParams", "adjacent",

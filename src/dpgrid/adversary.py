@@ -21,10 +21,11 @@ and the shift the attacker achieves is proportional to b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product, zip_longest
+from operator import attrgetter
 
-import numpy as np
-
+from .csvio import write_csv
 from .laplace import PrivacyParams
 from .seeds import as_generator
 
@@ -59,19 +60,20 @@ def bisect_root(below, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def tilted_mean_shift(k1, scale):
-    """Mean shift 2 b^2 k1 / (k1^2 - b^2) of the attack density, for floats or arrays.
+def tilted_mean_shift(k1: float, scale: float) -> float:
+    """Mean shift 2 b^2 k1 / (k1^2 - b^2) of the attack density.
 
     ValueError unless b > 0, k1 > b and the shift is finite (b^2 must not under- or overflow).
     """
-    b = np.asarray(scale, dtype=float)
-    if np.any(b <= 0.0):
+    if scale <= 0.0:
         raise ValueError("attack needs a positive noise scale to hide in")
-    if np.any(k1 <= b):
+    if k1 <= scale:
         raise ValueError("attack distribution undefined: k1 must exceed the noise scale")
-    with np.errstate(all="ignore"):
-        shift = 2.0 * b * b * k1 / (k1 * k1 - b * b)
-    if not np.all(np.isfinite(shift)):
+    try:
+        shift = 2.0 * scale * scale * k1 / (k1 * k1 - scale * scale)
+    except ZeroDivisionError:
+        shift = math.nan
+    if not math.isfinite(shift):
         raise ValueError("noise scale out of range: the attacker's mean shift is not finite")
     return shift
 
@@ -141,6 +143,8 @@ class AttackProfile:
 
 def attack_pdf(y, profile: AttackProfile):
     """Density of the attack noise at y (vectorized)."""
+    import numpy as np
+
     b = profile.base.scale
     k1 = profile.k1
     theta = profile.base.theta
@@ -162,6 +166,8 @@ def sample_attack_noise(profile: AttackProfile, rng, size=None):
     probability (k1 - b) / (2 k1) go left at rate 1/b + 1/k1, otherwise
     right at rate 1/b - 1/k1.  Exact, no rejection step.
     """
+    import numpy as np
+
     gen = as_generator(rng)
     b = profile.base.scale
     k1 = profile.k1
@@ -173,3 +179,43 @@ def sample_attack_noise(profile: AttackProfile, rng, size=None):
     z = np.where(u < w_neg, -e / rate_neg, e / rate_pos)
     out = profile.base.theta + z
     return float(out) if size is None else out
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    epsilon: float
+    gamma: float
+    sensitivity: float
+    theta: float
+    k1: float
+    mu_star: float
+    deviation: float
+
+
+def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
+    """Best stealthy mean shift over a parameter grid.
+
+    Returns one SweepPoint per (epsilon, gamma, sensitivity) cell, in
+    product order, equal to AttackProfile.solve's.  k1 factorizes as
+    scale times a ratio of gamma alone: one root-solve per distinct gamma.
+    """
+    eps_list = [float(e) for e in epsilons]
+    gamma_list = [float(g) for g in gammas]
+    sens_list = [float(s) for s in sensitivities]
+    if not eps_list or not gamma_list or not sens_list:
+        raise ValueError("sweep axes must be non-empty")
+    for e, s in zip_longest(eps_list, sens_list, fillvalue=1.0):
+        PrivacyParams(s, e, theta)  # the per-cell checks, once per axis value
+    ratio_of = {g: solve_k1(g, 1.0) for g in dict.fromkeys(gamma_list)}
+    points = []
+    for e, g, s in product(eps_list, gamma_list, sens_list):
+        scale = s / e
+        k1 = scale * ratio_of[g]
+        mu = theta + tilted_mean_shift(k1, scale)
+        points.append(SweepPoint(e, g, s, theta, k1, mu, mu - theta))
+    return points
+
+
+def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
+    header = [f.name for f in fields(SweepPoint)]
+    write_csv(path, header, map(attrgetter(*header), points), metadata)

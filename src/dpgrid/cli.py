@@ -13,7 +13,8 @@ errors.
 
 Each command imports the library modules it runs when it runs, so
 importing this module loads no numpy and a command pays at start-up only
-for what it uses.
+for what it uses: calibrate, impact and sweep do scalar math and load no
+numpy at all.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _cmd_impact(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
-    from .gridsim import impact_sweep, sweep_to_csv
+    from .adversary import impact_sweep, sweep_to_csv
 
     points = impact_sweep(args.epsilons, args.gammas, args.sensitivities, theta=args.theta)
     out = _resolve_out(args.out)

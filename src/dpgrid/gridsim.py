@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from itertools import product, zip_longest
-from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
-from .adversary import AttackProfile, sample_attack_noise, solve_k1, tilted_mean_shift
+from .adversary import AttackProfile, sample_attack_noise
+from .adversary import SweepPoint, impact_sweep, sweep_to_csv  # re-exported
+from .csvio import write_csv
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
-from .series import MeasurementSeries, resample, write_csv
+from .series import MeasurementSeries, resample
 
 QUERY_KINDS = ("hourly_mean", "sum")
 _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
@@ -411,47 +411,6 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
     tpr = tp / tp_opportunities if tp_opportunities else None
     return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    epsilon: float
-    gamma: float
-    sensitivity: float
-    theta: float
-    k1: float
-    mu_star: float
-    deviation: float
-
-
-def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
-    """Best stealthy mean shift over a parameter grid.
-
-    Returns one SweepPoint per (epsilon, gamma, sensitivity) cell, in
-    product order, equal to AttackProfile.solve's.  k1 factorizes as
-    scale times a ratio of gamma alone: one root-solve per distinct gamma.
-    """
-    eps_list = [float(e) for e in epsilons]
-    gamma_list = [float(g) for g in gammas]
-    sens_list = [float(s) for s in sensitivities]
-    if not eps_list or not gamma_list or not sens_list:
-        raise ValueError("sweep axes must be non-empty")
-    for e, s in zip_longest(eps_list, sens_list, fillvalue=1.0):
-        PrivacyParams(s, e, theta)  # the per-cell checks, once per axis value
-    # Axes (epsilon, gamma, sensitivity): ravel() walks the product order.
-    with np.errstate(all="ignore"):
-        scale = np.array(sens_list)[None, None, :] / np.array(eps_list)[:, None, None]
-        ratio_of = {g: solve_k1(g, 1.0) for g in dict.fromkeys(gamma_list)}
-        k1 = scale * np.array([ratio_of[g] for g in gamma_list])[None, :, None]
-        mu_star = (theta + tilted_mean_shift(k1, scale)).ravel().tolist()
-    k1 = k1.ravel().tolist()  # the arrays are freed before the points are built
-    return [SweepPoint(e, g, s, theta, k, mu, mu - theta)
-            for (e, g, s), k, mu in zip(product(eps_list, gamma_list, sens_list), k1, mu_star)]
-
-
-def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
-    header = [f.name for f in fields(SweepPoint)]
-    write_csv(path, header, map(attrgetter(*header), points), metadata)
 
 
 def _params_to_dict(params: PrivacyParams) -> dict:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .seeds import as_generator
 
 _QUERY_KINDS = ("sum", "mean")
@@ -122,6 +120,8 @@ def laplace_pdf(y, params: PrivacyParams):
     Requires a strictly positive scale; a zero-sensitivity query has a
     degenerate (point mass) release with no density.
     """
+    import numpy as np
+
     b = params.scale
     if b <= 0.0:
         raise ValueError("scale must be positive to evaluate a density")
@@ -144,6 +144,8 @@ def sample_laplace(params: PrivacyParams, rng, size=None):
 
 def laplace_from_uniform(uniform, scale: float):
     """Laplace(0, scale) noise from uniform [0, 1) draws, elementwise, by the transform above."""
+    import numpy as np
+
     u = uniform - 0.5
     absu = np.abs(u)
     # u == -0.5 (probability 2**-53 per draw) would map to -inf; clip one ulp in.
@@ -209,6 +211,8 @@ def indistinguishability_check(
     mechanism (the claim epsilon stays fixed), which lets the audit
     catch a mechanism that adds less noise than it advertises.
     """
+    import numpy as np
+
     if not adjacent(x, x_adj):
         raise ValueError("datasets not adjacent")
     if n_trials < 100_000:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -27,6 +25,8 @@ def derive_rng(seed: int, *labels: object) -> np.random.Generator:
     The same (seed, labels) pair always yields the same stream; any
     change to either yields a statistically independent one.
     """
+    import numpy as np
+
     entropy = [int(seed) & _MASK64] + [_label_entropy(lab) for lab in labels]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -39,6 +39,8 @@ def derive_seed(seed: int, *labels: object) -> int:
 
 def as_generator(rng: int | np.random.Generator) -> np.random.Generator:
     """Accept either a seed or a Generator and return a Generator."""
+    import numpy as np
+
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)

@@ -7,7 +7,7 @@ zone is an error, as are ``now``, ``today`` and a year that
 datetime64[us] cannot hold.  Values are decimal floats, with an empty or
 unparseable field marking a missing reading.  Lines starting with '#'
 carry metadata (e.g. the config hash of the run that produced the
-file) and are skipped on ingest.  write_csv writes every CSV output.
+file) and are skipped on ingest.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvio import write_csv
 from .seeds import derive_rng
 
 CHANNELS = ("power_kwh", "voltage")
@@ -203,19 +204,6 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
         ok = {q for q in set(quality) if q.strip().lower() in _QUALITY_OK}
         mask &= np.fromiter(map(ok.__contains__, quality), bool, n)
     return MeasurementSeries(timestamps=timestamps, values=values, mask=mask, channel=channel)
-
-
-def write_csv(path, header, rows, metadata: dict | None = None) -> None:
-    """Write '# key=value' metadata lines, a header, then rows.
-
-    csv.writer writes floats by repr, so they read back bit-exactly.
-    """
-    with open(path, "w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def export_csv(series: MeasurementSeries, path, metadata: dict | None = None) -> None:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dpgrid.adversary import (
     optimal_impact,
     sample_attack_noise,
     solve_k1,
+    tilted_mean_shift,
 )
 from dpgrid.laplace import PrivacyParams, laplace_pdf
 from dpgrid.seeds import derive_rng
@@ -152,6 +154,25 @@ def test_profile_rejects_k1_at_or_below_scale():
 def test_profile_requires_noise_to_hide_in():
     with pytest.raises(ValueError, match="positive noise scale"):
         AttackProfile(gamma=1.0, k1=1.0, base=PrivacyParams(0.0, 1.0))
+
+
+def test_tilted_mean_shift_is_a_python_float():
+    shift = tilted_mean_shift(26.0, 20.0)
+    assert type(shift) is float
+    assert shift == 2.0 * 20.0 * 20.0 * 26.0 / (26.0 * 26.0 - 20.0 * 20.0)
+
+
+@pytest.mark.parametrize("k1, scale, match", [
+    (2e-170, 1e-170, "not finite"),  # both squares underflow to 0: 0 / 0
+    (2e160, 1e160, "not finite"),  # b^2 overflows
+    (math.nan, 1.0, None),
+    (2.0, math.nan, None),
+], ids=["underflow", "overflow", "nan-k1", "nan-scale"])
+def test_tilted_mean_shift_out_of_range_raises_without_warning(k1, scale, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            tilted_mean_shift(k1, scale)
 
 
 def test_impact_operating_point():

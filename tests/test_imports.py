@@ -1,6 +1,7 @@
 """The package loads its modules lazily, and each CLI command only its own."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,20 +9,29 @@ import pytest
 
 import dpgrid
 
-_CALIBRATE = ("from dpgrid import cli; code = cli.main(['calibrate', '--sensitivity', '2', "
-              "'--gamma', '2', '--max-deviation', '50'])\nassert code == 0")
+
+def _cli(*argv):
+    return f"from dpgrid import cli\nassert cli.main({list(argv)!r}) == 0"
 
 
 @pytest.mark.parametrize("code, absent", [
     ("import dpgrid", {"numpy"}),
     ("import dpgrid.cli", {"numpy"}),
     ("from dpgrid.bench import _cpu_model", {"cryptography"}),
-    (_CALIBRATE, {"dpgrid.gridsim", "dpgrid.bench", "cryptography"}),
-], ids=["package", "cli", "bench", "calibrate"])
-def test_import_loads_only_what_runs(code, absent):
+    ("from dpgrid import impact_sweep", {"numpy"}),
+    (_cli("calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "50"),
+     {"numpy", "dpgrid.gridsim", "dpgrid.bench", "cryptography"}),
+    (_cli("impact", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2"),
+     {"numpy", "dpgrid.gridsim"}),
+    (_cli("sweep", "--epsilons", "0.1,0.5", "--gammas", "0.5,2", "--sensitivities", "1,2",
+          "--out", "sweep.csv"),
+     {"numpy", "dpgrid.gridsim"}),
+], ids=["package", "cli", "bench", "sweep-name", "calibrate", "impact", "sweep"])
+def test_import_loads_only_what_runs(code, absent, tmp_path):
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "DPGRID_OUTPUT_DIR": str(tmp_path)}  # where the sweep writes
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert loaded.isdisjoint(absent)
