@@ -217,5 +217,6 @@ def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
 
 
 def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
+    points = list(points)  # read once per column
     header = [f.name for f in fields(SweepPoint)]
-    write_csv(path, header, map(attrgetter(*header), points), metadata)
+    write_csv(path, header, [map(repr, map(attrgetter(n), points)) for n in header], metadata)

@@ -28,7 +28,7 @@ from .adversary import AttackProfile, bisect_root, optimal_impact
 from .laplace import PrivacyParams
 
 _ROUND_TRIP_RTOL = 1e-6
-_MAX_GAMMA = 1e9
+_MIN_GAMMA, _MAX_GAMMA = 1e-50, 1e9  # see DesignSpec
 
 
 class BoundaryCase(Enum):
@@ -44,8 +44,10 @@ class DesignSpec:
 
     max_deviation is the largest tolerable attacker mean shift,
     expressed in release units above theta.  gamma must lie in
-    (0, 1e9]: above that bound the attacker's tilt solve loses the
-    precision the calibration round trip needs.
+    [1e-50, 1e9], where the round trip holds: above it the attacker's
+    tilt solve loses precision, and below about 1.4e-55 (a scan over
+    gamma, sensitivity and deviation) the 200 halvings of bisect_root
+    on [gamma, 2 gamma + 2] no longer resolve t.
     """
 
     sensitivity: float
@@ -56,10 +58,8 @@ class DesignSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0.0):
             raise ValueError(f"sensitivity must be finite and non-negative, got {self.sensitivity}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
-        if self.gamma > _MAX_GAMMA:
-            raise ValueError(f"gamma must be at most {_MAX_GAMMA:g}, got {self.gamma}")
+        if not _MIN_GAMMA <= self.gamma <= _MAX_GAMMA:  # also rejects nan
+            raise ValueError(f"gamma must be in [{_MIN_GAMMA:g}, {_MAX_GAMMA:g}], got {self.gamma}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         if not (math.isfinite(self.max_deviation) and self.max_deviation > 0.0):
@@ -98,6 +98,8 @@ def calibrate_epsilon(spec: DesignSpec) -> DesignResult:
     d = spec.max_deviation
     k1 = solve_design_k1(d, spec.gamma)
     scale = k1 * math.sqrt(d / (2.0 * k1 + d))
+    if not (math.isfinite(scale) and scale > 0.0):  # 2 k1 + d overflows near 1e308
+        raise ValueError(f"calibrated noise scale {scale} is not finite and positive")
     epsilon = spec.sensitivity / scale
     base = PrivacyParams(sensitivity=spec.sensitivity, epsilon=epsilon, theta=spec.theta)
     predicted = optimal_impact(AttackProfile.solve(spec.gamma, base))

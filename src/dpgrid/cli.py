@@ -90,15 +90,9 @@ def _cmd_calibrate(args: argparse.Namespace, config_hash: str) -> int:
 
     from .calibrate import DesignSpec, calibrate_epsilon
 
-    spec = DesignSpec(
-        sensitivity=args.sensitivity,
-        gamma=args.gamma,
-        theta=args.theta,
-        max_deviation=args.max_deviation,
-    )
-    result = calibrate_epsilon(spec)
-    payload = {**asdict(result), "config_hash": config_hash}
-    _emit_json(payload, args.out)
+    spec = DesignSpec(sensitivity=args.sensitivity, gamma=args.gamma, theta=args.theta,
+                      max_deviation=args.max_deviation)
+    _emit_json({**asdict(calibrate_epsilon(spec)), "config_hash": config_hash}, args.out)
     return 0
 
 

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import csv
+_SPECIAL = frozenset(',"\r\n')
 
 
-def write_csv(path, header, rows, metadata: dict | None = None) -> None:
-    """Write '# key=value' metadata lines, a header, then rows.
+def quote(text: str) -> str:
+    """Free text as csv.writer writes it: quoted, '"' doubled, only if it holds , " \\r or \\n."""
+    return text if _SPECIAL.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
-    csv.writer writes floats by repr, so they read back bit-exactly.
+
+def write_csv(path, header, columns, metadata: dict | None = None) -> None:
+    """Write '# key=value' lines ending in '\\n', then header and rows ending in '\\r\\n'.
+
+    columns are iterables of field text (floats by repr, free text through quote), read in lockstep.
     """
     with open(path, "w", newline="") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(quote, header)) + "\r\n")
+        fh.writelines(map("{}\r\n".format, map(",".join, zip(*columns))))

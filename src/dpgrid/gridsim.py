@@ -18,13 +18,14 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from itertools import chain, cycle, repeat
 from typing import Mapping
 
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
 from .adversary import SweepPoint, impact_sweep, sweep_to_csv  # re-exported
-from .csvio import write_csv
+from .csvio import quote, write_csv
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
 from .series import MeasurementSeries, resample
@@ -33,7 +34,6 @@ QUERY_KINDS = ("hourly_mean", "sum")
 _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
 _TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value",
                  "dp_noise", "injected", "noise_total", "delivered", "flag")
-_TRACE_BLOCK_ROWS = 4096
 # Bytes of one chunk of detection_rate's runs, at about four float rows per node and edge per run.
 _CHUNK_BYTES = 1 << 21
 
@@ -197,29 +197,27 @@ class SimTrace:
         return len(self.timestamps)
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
-        """One row per (timestep, edge): timesteps in order, edges in edge_keys order."""
-        write_csv(path, _TRACE_HEADER, self._csv_rows(), metadata)
+        """One row per (timestep, edge): timesteps in order, edges in edge_keys order.
 
-    def _csv_rows(self):
-        # Whole timesteps per block, so only one block's Python objects are alive at once.
+        The columns interleave lazily, so no row exists before it is written.  Floats
+        are written by repr, flags as 0 or 1, and node ids through csvio.quote.
+        """
         keys = self.edge_keys
-        stamps = np.datetime_as_string(self.timestamps, unit="s")
-        floats = (self.true_values, self.dp_noise, self.injected, self.noise_total, self.delivered)
 
-        def column(per_edge: dict, t: np.ndarray, dtype=np.float64) -> list:
-            return np.stack([per_edge[k][t] for k in keys], axis=1, dtype=dtype).ravel().tolist()
+        def per_timestep(texts):
+            return chain.from_iterable(map(repeat, texts, repeat(len(keys))))
 
-        step = max(1, _TRACE_BLOCK_ROWS // max(1, len(keys)))
-        for start in range(0, self.n_timesteps if keys else 0, step):
-            t = np.arange(start, min(start + step, self.n_timesteps))
-            yield from zip(
-                np.repeat(t, len(keys)).tolist(),
-                np.repeat(stamps[t], len(keys)).tolist(),
-                [k[0] for k in keys] * len(t),
-                [k[1] for k in keys] * len(t),
-                *(column(per_edge, t) for per_edge in floats),
-                column(self.flags, t, np.uint8),
-            )
+        def per_edge(arrays: dict, text=float.__repr__):
+            return chain.from_iterable(zip(*(map(text, arrays[k]) for k in keys)))
+
+        write_csv(path, _TRACE_HEADER, (
+            per_timestep(map(str, range(self.n_timesteps))),
+            per_timestep(np.datetime_as_string(self.timestamps, unit="s").tolist()),
+            cycle([quote(c) for c, _ in keys]), cycle([quote(p) for _, p in keys]),
+            *map(per_edge, (self.true_values, self.dp_noise, self.injected, self.noise_total,
+                            self.delivered)),
+            per_edge(self.flags, lambda flag: "1" if flag else "0"),
+        ), metadata)
 
     def summary(self) -> dict:
         edges = {}

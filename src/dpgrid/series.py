@@ -207,19 +207,13 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
 
 
 def export_csv(series: MeasurementSeries, path, metadata: dict | None = None) -> None:
-    """Write a series in the ingest format; round-trips bit-exactly.
-
-    metadata entries become '# key=value' comment lines above the
-    header.
-    """
+    """Write the ingest format, metadata as '# key=value' lines; round-trips bit-exactly."""
     ts = series.timestamps
     whole_seconds = bool(np.all(ts == ts.astype("datetime64[s]").astype("datetime64[us]")))
     stamps = np.datetime_as_string(ts, unit="s" if whole_seconds else "us").tolist()
-    rows = (
-        (stamp, value if present else "")
-        for stamp, value, present in zip(stamps, series.values.tolist(), series.mask.tolist())
-    )
-    write_csv(path, ("timestamp", "value"), rows, metadata)
+    values = (repr(v) if present else ""
+              for v, present in zip(series.values.tolist(), series.mask.tolist()))
+    write_csv(path, ("timestamp", "value"), (stamps, values), metadata)
 
 
 def resample(series: MeasurementSeries, period: str, how: str = "mean") -> MeasurementSeries:
@@ -277,7 +271,8 @@ def synth_pmu(
     on Saturdays and Sundays, times multiplicative jitter
     (1 + noise_level * N(0, 1)).  A fraction of readings is dropped as
     missing.  noise_level should stay well below 1 so values keep the
-    profile's sign.
+    profile's sign.  start is an ISO date; as on ingest, 'now', 'today'
+    and a year datetime64[us] cannot hold are rejected.
     """
     if days <= 0:
         raise ValueError(f"days must be positive, got {days}")
@@ -285,6 +280,8 @@ def synth_pmu(
         raise ValueError(f"missing_fraction must be in [0, 1), got {missing_fraction}")
     if noise_level < 0.0:
         raise ValueError(f"noise_level must be non-negative, got {noise_level}")
+    if not _in_years(start):
+        raise ValueError(f"start must be a date in datetime64[us]'s years, got {start!r}")
     base_profile = DEFAULT_DAILY_PROFILE if profile is None else np.asarray(profile, dtype=float)
     if base_profile.shape != (24,):
         raise ValueError(f"profile must have 24 hourly entries, got shape {base_profile.shape}")

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own closed forms so tests can
 cross-check implementations against independent numerics.  The CSV
-reader at the end is the row-by-row ingest the column-wise
-series.ingest_csv replaced, kept as its reference.
+reader and writers at the end are the row-by-row ingest the column-wise
+series.ingest_csv replaced and the csv.writer rows the column-wise
+csvio.write_csv replaced, kept as their references.
 """
 
 from __future__ import annotations
@@ -180,3 +181,23 @@ def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:
         mask=np.array(mask),
         channel=channel,
     )
+
+
+def write_csv_by_rows(path, header, rows, metadata: dict | None = None) -> None:
+    """The row writer: '# key=value' metadata lines, then csv.writer's header and rows."""
+    with open(path, "w", newline="") as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def trace_rows(trace):
+    """A SimTrace's rows one at a time, timestep-major, edges in edge_keys order."""
+    stamps = np.datetime_as_string(trace.timestamps, unit="s").tolist()
+    floats = (trace.true_values, trace.dp_noise, trace.injected, trace.noise_total, trace.delivered)
+    for t, stamp in enumerate(stamps):
+        for key in trace.edge_keys:
+            yield (t, stamp, *key, *(float(per_edge[key][t]) for per_edge in floats),
+                   int(trace.flags[key][t]))

@@ -65,6 +65,14 @@ def test_round_trip_at_large_stealth_budget():
     assert result.predicted_impact == pytest.approx(43.18, rel=1e-6)
 
 
+def test_round_trip_at_smallest_stealth_budget():
+    spec = DesignSpec(sensitivity=2.0, gamma=1e-50, theta=33.18, max_deviation=10.0)
+    result = calibrate_epsilon(spec)
+    assert result.predicted_impact == pytest.approx(43.18, rel=1e-6)
+    with pytest.raises(ValueError, match="gamma must be in"):
+        DesignSpec(sensitivity=2.0, gamma=9e-51, theta=33.18, max_deviation=10.0)
+
+
 def test_round_trip_check_rejects_nan_prediction(monkeypatch):
     monkeypatch.setattr(calibrate, "optimal_impact", lambda profile: math.nan)
     spec = DesignSpec(sensitivity=2.0, gamma=2.0, theta=33.18, max_deviation=76.82)

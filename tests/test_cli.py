@@ -270,9 +270,11 @@ def test_validation_error_exits_2_with_json(capsys):
     assert payload["error"]
 
 
-def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys):
+# Beyond DesignSpec's gamma bounds the root solves cannot hold the round trip.
+@pytest.mark.parametrize("gamma", ["1e11", "1e-60"], ids=["above-max", "below-min"])
+def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
     code, _, err = run_cli(capsys, [
-        "calibrate", "--sensitivity", "2", "--gamma", "1e11", "--max-deviation", "50",
+        "calibrate", "--sensitivity", "2", "--gamma", gamma, "--max-deviation", "50",
     ])
     assert code == 2
     payload = parse_json(err)
@@ -290,10 +292,12 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys):
     ["sweep", "--epsilons", "1,1e-100", "--gammas", "2", "--sensitivities", "1e100"],
     ["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "1e-300"],
     ["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "1e300"],
+    ["calibrate", "--sensitivity", "1", "--gamma", "1", "--max-deviation", "1e308"],
     ["qos", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3", "--days", "60"],
     ["bench", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
 ], ids=["impact-underflow", "impact-overflow", "sweep-underflow", "sweep-overflow",
-        "calibrate-underflow", "calibrate-overflow", "qos-underflow", "bench-underflow"])
+        "calibrate-underflow", "calibrate-overflow", "calibrate-scale-overflow", "qos-underflow",
+        "bench-underflow"])
 def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
@@ -384,6 +388,20 @@ def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra,
     payload = parse_json(err)
     assert payload["command"] == "simulate"
     assert needle in payload["error"]
+
+
+@pytest.mark.parametrize("start", ["now", "today", "300000-01-01"],
+                         ids=["now", "today", "year-beyond-datetime64"])
+def test_synth_bad_start_exits_2_with_json(capsys, tmp_path, start):
+    out_file = tmp_path / "pmu.csv"
+    code, out, err = run_cli(capsys, [
+        "synth", "--days", "1", "--start", start, "--out", str(out_file),
+    ])
+    assert code == 2 and out == ""
+    payload = parse_json(err)
+    assert payload["command"] == "synth"
+    assert f"start must be a date in datetime64[us]'s years, got {start!r}" in payload["error"]
+    assert not out_file.exists()
 
 
 def test_output_dir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):

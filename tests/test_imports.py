@@ -20,12 +20,12 @@ def _cli(*argv):
     ("from dpgrid.bench import _cpu_model", {"cryptography"}),
     ("from dpgrid import impact_sweep", {"numpy"}),
     (_cli("calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "50"),
-     {"numpy", "dpgrid.gridsim", "dpgrid.bench", "cryptography"}),
+     {"numpy", "csv", "dpgrid.gridsim", "dpgrid.bench", "cryptography"}),
     (_cli("impact", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2"),
-     {"numpy", "dpgrid.gridsim"}),
+     {"numpy", "csv", "dpgrid.gridsim"}),
     (_cli("sweep", "--epsilons", "0.1,0.5", "--gammas", "0.5,2", "--sensitivities", "1,2",
           "--out", "sweep.csv"),
-     {"numpy", "dpgrid.gridsim"}),
+     {"numpy", "csv", "dpgrid.gridsim"}),
 ], ids=["package", "cli", "bench", "sweep-name", "calibrate", "impact", "sweep"])
 def test_import_loads_only_what_runs(code, absent, tmp_path):
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"

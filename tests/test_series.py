@@ -375,3 +375,12 @@ def test_synth_validation():
         synth_pmu(days=1, noise_level=-0.1)
     with pytest.raises(ValueError):
         synth_pmu(days=1, profile=np.ones(12))
+
+
+# numpy reads these as the run date or wraps them; the stamps would not be the seed's.
+@pytest.mark.parametrize("start", ["now", "today", "Today", "300000-01-01", "-300000-01-01"],
+                         ids=["now", "today", "Today", "year-beyond-datetime64",
+                              "year-before-datetime64"])
+def test_synth_rejects_start_that_ingest_rejects(start):
+    with pytest.raises(ValueError, match=f"start must be .*, got {start!r}"):
+        synth_pmu(days=1, start=start)
