@@ -21,6 +21,7 @@ and the shift the attacker achieves is proportional to b.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import product, zip_longest
 from operator import attrgetter
@@ -39,6 +40,8 @@ def _solve_tilt_ratio(gamma: float) -> float:
     """Unique r > 1 with _kl_of_ratio(r) == gamma, by bisection."""
     if gamma > 1e12:
         raise ValueError(f"stealth budget {gamma} too large to resolve")
+    if gamma < sys.float_info.min:  # the root's r * r overflows and every KL reads 0
+        raise ValueError(f"stealth budget {gamma} too small to resolve")
     lo, hi = 1.0 + 1e-12, 2.0
     while _kl_of_ratio(hi) > gamma:
         hi *= 2.0

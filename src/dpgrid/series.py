@@ -156,6 +156,81 @@ def _parse_timestamps(stamps: list) -> np.ndarray:
     return ts
 
 
+_HEADERS = (["timestamp", "value"], ["timestamp", "value", "quality"])
+
+
+def _plain_columns(path):
+    """The file's columns by one split, or None if it needs csv.reader.
+
+    A file qualifies when csv.reader would cut it at every ',' and '\\n'
+    and drop only its leading '#' lines: no '"' or '\\r' anywhere, a good
+    header after the leading '#' lines, a body with no '#' in which every
+    line has exactly width - 1 commas and then a newline (the last one
+    may be missing), and no field longer than csv.field_size_limit().
+    Any other file returns None, so this never raises a format error.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None  # csv.reader's decode error counts from the chunk it reads, not the file
+    if '"' in text or "\r" in text:
+        return None
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    end = text.find("\n", start)
+    header = [c.strip().lower() for c in text[start:end].split(",")]
+    body = text[end + 1:]
+    limit = csv.field_size_limit()
+    if end < 0 or header not in _HEADERS or not body or "#" in body or end > limit:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    width = len(header)
+    codes = np.frombuffer(body.encode(), np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    # n newlines among n * width separators, each at a row's end, leave
+    # exactly width - 1 commas on every row.
+    if seps.size != body.count("\n") * width or np.any(codes[seps[width - 1::width]] != ord("\n")):
+        return None
+    if np.diff(seps, prepend=-1).max() > limit + 1:  # a field's UTF-8 bytes are at least its chars
+        return None
+    fields = body.replace("\n", ",").split(",")
+    fields.pop()  # after the last newline
+    return [fields[i::width] for i in range(width)]
+
+
+def _csv_columns(path):
+    """The file's columns by csv.reader, dropping blank and '#' rows.
+
+    An empty file, a malformed header, no data rows, a row of the wrong
+    width and any csv.Error raise ValueError; a row error names its row.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        try:
+            rows.extend(r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
+        except csv.Error as exc:  # a field beyond csv.field_size_limit()
+            raise ValueError(f"row {len(rows) + 1}: {exc}") from None
+    if not rows:
+        raise ValueError(f"empty file: {path}")
+    header = [c.strip().lower() for c in rows[0]]
+    if header not in _HEADERS:
+        raise ValueError("malformed header: expected 'timestamp,value[,quality]'")
+    data = rows[1:]
+    if not data:
+        raise ValueError(f"no data rows in {path}")
+    bad_width = np.flatnonzero(np.fromiter(map(len, data), np.intp, len(data)) != len(header))
+    if bad_width.size:
+        first = bad_width[0]
+        _parse_timestamps([r[0] for r in data[:first]])  # a bad stamp above it comes first
+        raise ValueError(f"row {first + 2}: expected {len(header)} fields, got {len(data[first])}")
+    return list(zip(*data))
+
+
 def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
     """Load a measurement CSV column by column.
 
@@ -163,27 +238,20 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
     masked-missing readings; a quality field outside {'', ok, good, 1}
     masks the row as well.  A malformed header or an empty file is an
     error, as are a row of the wrong width, an empty, NaT or bad
-    timestamp (see the module docstring) and a timestamp not after the
-    one above; each row error names the first bad row.
-    """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"empty file: {path}")
-    header = [c.strip().lower() for c in rows[0]]
-    if header not in (["timestamp", "value"], ["timestamp", "value", "quality"]):
-        raise ValueError("malformed header: expected 'timestamp,value[,quality]'")
-    data = rows[1:]
-    if not data:
-        raise ValueError(f"no data rows in {path}")
-    n = len(data)
+    timestamp (see the module docstring), a timestamp not after the one
+    above and a field longer than csv.field_size_limit(); each row error
+    names the first bad row.
 
-    bad_width = np.flatnonzero(np.fromiter(map(len, data), np.intp, n) != len(header))
-    if bad_width.size:
-        first = bad_width[0]
-        _parse_timestamps([r[0] for r in data[:first]])  # a bad stamp above it comes first
-        raise ValueError(f"row {first + 2}: expected {len(header)} fields, got {len(data[first])}")
-    stamps = [r[0] for r in data]
+    A plain file, with no quoting, no '\\r' and no blank or '#' line
+    after its header, is cut into columns by one split; any other file
+    goes through csv.reader.  Both paths give the same series and the
+    same errors.
+    """
+    columns = _plain_columns(path)
+    if columns is None:
+        columns = _csv_columns(path)
+    stamps, texts = columns[:2]
+    n = len(stamps)
     timestamps = _parse_timestamps(stamps)
     back = np.flatnonzero(timestamps[1:] <= timestamps[:-1]) + 1
     if back.size:
@@ -193,14 +261,13 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
             f"({stamps[i]!r} is not after {stamps[i - 1]!r})"
         )
 
-    texts = [r[1] for r in data]
     try:
         values = np.fromiter(map(float, texts), np.float64, n)
     except ValueError:
         values = np.array([_or_missing(math.nan, float, text) for text in texts])
     mask = np.isfinite(values)
-    if len(header) == 3:
-        quality = [r[2] for r in data]
+    if len(columns) == 3:
+        quality = columns[2]
         ok = {q for q in set(quality) if q.strip().lower() in _QUALITY_OK}
         mask &= np.fromiter(map(ok.__contains__, quality), bool, n)
     return MeasurementSeries(timestamps=timestamps, values=values, mask=mask, channel=channel)
@@ -272,7 +339,8 @@ def synth_pmu(
     (1 + noise_level * N(0, 1)).  A fraction of readings is dropped as
     missing.  noise_level should stay well below 1 so values keep the
     profile's sign.  start is an ISO date; as on ingest, 'now', 'today'
-    and a year datetime64[us] cannot hold are rejected.
+    and a year datetime64[us] cannot hold are rejected, and so are a
+    start and days whose last hour datetime64[us] cannot hold.
     """
     if days <= 0:
         raise ValueError(f"days must be positive, got {days}")
@@ -287,6 +355,9 @@ def synth_pmu(
         raise ValueError(f"profile must have 24 hourly entries, got shape {base_profile.shape}")
 
     start_day = np.datetime64(start, "D")
+    first_us = int(start_day.astype("datetime64[us]").astype(np.int64))
+    if first_us + (days * 24 - 1) * 3_600_000_000 > np.iinfo(np.int64).max:
+        raise ValueError(f"start {start!r} plus days={days} runs past datetime64[us]'s last stamp")
     timestamps = (start_day.astype("datetime64[h]") + np.arange(days * 24)).astype("datetime64[us]")
     day_index = np.repeat(np.arange(days), 24) + start_day.astype(np.int64)
     hour_of_day = np.tile(np.arange(24), days)

@@ -144,8 +144,14 @@ def _parse_timestamp(text: str) -> np.datetime64:
 
 def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:
     """Row-by-row measurement CSV reader: one datetime64 and one float per row."""
+    rows = []
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        try:
+            for row in csv.reader(fh):
+                if row and not row[0].lstrip().startswith("#"):
+                    rows.append(row)
+        except csv.Error as exc:  # a field beyond csv.field_size_limit()
+            raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"empty file: {path}")
     header = [c.strip().lower() for c in rows[0]]

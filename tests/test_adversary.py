@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -116,6 +117,19 @@ def test_solve_k1_degenerate_budgets():
     for gamma in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="degenerate stealth budget"):
             solve_k1(gamma, 1.0)
+
+
+def test_solve_k1_smallest_normal_budget_resolves():
+    # KL is about 1 / r^2 for large r = k1 / b, and r * r stays finite down to here.
+    k1 = solve_k1(sys.float_info.min, 20.0)
+    assert k1 == pytest.approx(20.0 / math.sqrt(sys.float_info.min), rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [1e-310, 5e-324], ids=["subnormal", "smallest-subnormal"])
+def test_solve_k1_subnormal_budget_too_small_to_resolve(gamma):
+    # Below the smallest normal gamma r * r overflows and every bracket's KL reads 0.
+    with pytest.raises(ValueError, match=f"stealth budget {gamma!r} too small to resolve"):
+        solve_k1(gamma, 20.0)
 
 
 @given(

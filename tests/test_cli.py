@@ -309,6 +309,27 @@ def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
     assert "not finite" in payload["error"]
 
 
+# A stealth budget the tilt's root solve cannot resolve, at either end.
+@pytest.mark.parametrize("argv, needle", [
+    (["impact", "--epsilon", "0.1", "--gamma", "1e-310", "--sensitivity", "2"],
+     "stealth budget 1e-310 too small to resolve"),
+    (["sweep", "--epsilons", "0.1", "--gammas", "2,1e-310", "--sensitivities", "2"],
+     "stealth budget 1e-310 too small to resolve"),
+    (["impact", "--epsilon", "0.1", "--gamma", "1e13", "--sensitivity", "2"],
+     "too large to resolve"),
+], ids=["impact-subnormal-gamma", "sweep-subnormal-gamma", "impact-huge-gamma"])
+def test_unresolvable_stealth_budget_exits_2_with_json(capsys, tmp_path, argv, needle):
+    out_file = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_file)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    payload = parse_json(err)
+    assert payload["command"] == argv[0]
+    assert needle in payload["error"]
+    assert not out_file.exists()
+
+
 _CHAIN_NODES = [{"id": "pmu1", "layer": "PMU"}, {"id": "pdc1", "layer": "PDC"},
                 {"id": "m", "layer": "MASTER"}]
 _BAD_WINDOW_EDGES = [
@@ -333,13 +354,18 @@ _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
 _CHAIN = {"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}
 
 
-def _stamped_series(stamp):
-    """Arguments giving pmu1 a series whose row 3 is stamped `stamp`."""
+def _series_file(text):
+    """Arguments giving pmu1 the series file `text`."""
     def extra(tmp_path):
         path = tmp_path / "pmu1.csv"
-        path.write_text(f"timestamp,value\n2018-01-01T00:00:00,1.0\n{stamp},2.0\n")
+        path.write_text(text)
         return ["--series", f"pmu1={path}"]
     return extra
+
+
+def _stamped_series(stamp):
+    """Arguments giving pmu1 a series whose row 3 is stamped `stamp`."""
+    return _series_file(f"timestamp,value\n2018-01-01T00:00:00,1.0\n{stamp},2.0\n")
 
 
 @pytest.mark.parametrize("topology, extra, needle", [
@@ -371,11 +397,13 @@ def _stamped_series(stamp):
     (_CHAIN, _stamped_series("now"), "row 3: bad timestamp 'now'"),
     (_CHAIN, _stamped_series("Today"), "row 3: bad timestamp 'Today'"),
     (_CHAIN, _stamped_series("300000-01-01"), "row 3: bad timestamp '300000-01-01'"),
+    (_CHAIN, _series_file("timestamp,value\n2018-01-01T00:00:00," + "1" * 140_000 + "\n"),
+     "row 2: field larger than field limit (131072)"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
         "huge-window", "unknown-kind", "non-utc-stamp", "now-stamp", "today-stamp",
-        "year-beyond-datetime64"])
+        "year-beyond-datetime64", "oversized-field"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))

@@ -1,4 +1,6 @@
+import csv
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ingest_csv_by_rows
 
+from dpgrid import series
 from dpgrid.series import (
     DEFAULT_DAILY_PROFILE,
     MeasurementSeries,
@@ -179,38 +182,61 @@ _BAD_STAMPS = st.sampled_from([
 
 
 @st.composite
-def measurement_csv(draw):
+def measurement_csv(draw, plain=None):
     """CSV text in the ingest format, mostly valid, always increasing.
 
-    Stamps carry UTC suffixes and blank padding, values are sometimes
-    quoted, and '#' and blank lines sit between the data rows.
+    Stamps carry UTC suffixes and blank padding, and '#' metadata lines
+    may sit above the header.  A plain file (plain=True) is one that
+    ingest_csv cuts by one split: '\\n' line ends, the last one at times
+    missing, no quotes, and every row of the header's width.  Any other
+    file also has '\\r\\n' ends, quoted values, '#' and blank lines between
+    the data rows and rows of the wrong width, at random, and surely one
+    '\\r\\n' or one '#' or blank line below the header, so it goes through
+    csv.reader.  plain=None draws either kind.
 
     Non-increasing rows are never drawn: their error changed on purpose
     (it now names its row) and the row-by-row reference gives the old
     one.  A bad stamp (_BAD_STAMPS) or a row of the wrong width is drawn
     now and then, so error messages are compared too.
     """
+    if plain is None:
+        plain = draw(st.booleans())
     quality = draw(st.booleans())
     header = draw(st.sampled_from(["timestamp,value", " Timestamp , VALUE "]))
-    lines = [header + (",quality" if quality else "")]
+    lines = draw(st.lists(st.sampled_from(["# config_hash=0123abcd", "#", "#a,b,c"]), max_size=2))
+    lines.append(header + (",quality" if quality else ""))
+    below_header = len(lines)
     micros = 0
     for _ in range(draw(st.integers(1, 12))):
-        if draw(st.integers(0, 4)) == 0:
-            lines.append(draw(st.sampled_from(["# note", "  #x,y", ""])))
+        if not plain and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_INTERRUPTIONS))
         micros += draw(st.sampled_from([1, 250_000, 1_000_000, 3_600_000_000]))
         stamp = (datetime(2018, 10, 14) + timedelta(microseconds=micros)).isoformat()
         lead, zone, trail = draw(_STAMP_TEXTS)
-        quote = draw(st.sampled_from(["", '"']))
+        quote = "" if plain else draw(st.sampled_from(["", '"']))
         fields = [lead + stamp + zone + trail, quote + draw(_VALUE_TEXTS) + quote]
         if quality:
             fields.append(draw(_QUALITY_TEXTS))
         fault = draw(st.integers(0, 60))
         if fault == 0:
             fields[0] = draw(_BAD_STAMPS)
-        elif fault == 1:
+        elif fault == 1 and not plain:
             fields.pop()
         lines.append(",".join(fields))
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if plain:
+        return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r\n"
+    else:
+        at = draw(st.integers(below_header, len(lines)))
+        lines.insert(at, draw(_INTERRUPTIONS))
+        ends.insert(at, "\n")
+    return "".join(map(str.__add__, lines, ends))
+
+
+# Lines csv.reader drops below the header: the plain split would not.
+_INTERRUPTIONS = st.sampled_from(["# note", "  #x,y", ""])
 
 
 def _ingest_outcome(reader, path):
@@ -221,12 +247,83 @@ def _ingest_outcome(reader, path):
     return s.timestamps.tobytes(), s.values.tobytes(), s.mask.tobytes()
 
 
+def _ingest_path(path):
+    """Which way ingest_csv cuts the file: 'split' or 'csv.reader'."""
+    with mock.patch.object(series, "_csv_columns", wraps=series._csv_columns) as spy:
+        try:
+            ingest_csv(path)
+        except ValueError:
+            pass
+    return "csv.reader" if spy.called else "split"
+
+
 @settings(derandomize=True, max_examples=150)
 @given(text=measurement_csv())
 def test_ingest_matches_row_by_row_reference(text, tmp_path_factory):
     path = tmp_path_factory.mktemp("eq") / "m.csv"
     path.write_bytes(text.encode())
     assert _ingest_outcome(ingest_csv, path) == _ingest_outcome(ingest_csv_by_rows, path)
+
+
+@pytest.mark.parametrize("plain, path_taken", [(True, "split"), (False, "csv.reader")],
+                         ids=["plain", "needs-csv-reader"])
+@settings(derandomize=True, max_examples=40)
+@given(data=st.data())
+def test_each_strategy_branch_reaches_its_path(plain, path_taken, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("branch") / "m.csv"
+    path.write_bytes(data.draw(measurement_csv(plain)).encode())
+    assert _ingest_path(path) == path_taken
+
+
+_PLAIN = "timestamp,value\n2018-10-14T00:00:00,1.5\n2018-10-14T01:00:00,2.5\n"
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("text, path_taken, error", [
+    ("\n" + _PLAIN, "csv.reader", None),
+    ("  # c\n" + _PLAIN, "csv.reader", None),
+    ('# note,"spans\n' + _PLAIN.rstrip("\n") + '"\ntimestamp,value\n2018-10-14T05:00:00,9.0\n',
+     "csv.reader", None),
+    (_PLAIN + "# note,x\n2018-10-14T02:00:00,3.5\n", "csv.reader", None),
+    ("timestamp,value,quality\n2018-10-14T00:00:00,1.5\r2018-10-14T01:00:00,ok\n", "csv.reader",
+     "row 2: expected 3 fields, got 2"),
+    (_PLAIN + "2018-10-14T02:00:00,3.5,x\n2018-10-14T03:00:00,4.5\n", "csv.reader",
+     "row 4: expected 2 fields, got 3"),
+    (_PLAIN + "2018-10-14T02:00:00,3.5,x\n2018-10-14T03:00:00\n", "csv.reader",
+     "row 4: expected 2 fields, got 3"),
+    (_PLAIN + "2018-10-14T02:00:00," + "1" * (_LIMIT + 1) + "\n", "csv.reader",
+     f"row 4: field larger than field limit ({_LIMIT})"),
+    ("# " + "x" * _LIMIT + "\n" + _PLAIN, "csv.reader",
+     f"row 1: field larger than field limit ({_LIMIT})"),
+    (_PLAIN + "2018-10-14T02:00:00," + "1" * _LIMIT + "\n", "split", None),
+    ("# config_hash=abc\n#\n" + _PLAIN, "split", None),
+    (_PLAIN.rstrip("\n"), "split", None),
+], ids=["blank-line-before-header", "indented-comment-before-header",
+        "quoted-metadata-spans-newline", "comment-row-below-header", "lone-cr-line-end",
+        "wrong-width-row", "widths-that-cancel",
+        "oversized-field", "oversized-metadata-field", "field-at-limit", "leading-metadata",
+        "no-trailing-newline"])
+def test_ingest_path_and_result(tmp_path, text, path_taken, error):
+    path = _write(tmp_path, text)
+    assert _ingest_path(path) == path_taken
+    outcome = _ingest_outcome(ingest_csv, path)
+    assert outcome == _ingest_outcome(ingest_csv_by_rows, path)
+    if error:
+        assert outcome == error
+    else:
+        assert isinstance(outcome, tuple)
+
+
+def test_undecodable_file_fails_as_csv_reader_reports_it(tmp_path):
+    # One read() counts the bad byte from the file's start, csv.reader's
+    # line reads from the start of the chunk they decode: the messages differ.
+    stamps = np.datetime_as_string(np.datetime64("2018-01-01T00", "h") + np.arange(400), unit="s")
+    rows = "".join(f"{stamp},1.5\n" for stamp in stamps)
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"timestamp,value\n{rows}".encode() + b"2019-01-01T00:00:00,\xff\n")
+    outcome = _ingest_outcome(ingest_csv, path)
+    assert "can't decode byte 0xff" in outcome
+    assert outcome == _ingest_outcome(ingest_csv_by_rows, path)
 
 
 # --------------------------------------------------------------- round trip
@@ -384,3 +481,12 @@ def test_synth_validation():
 def test_synth_rejects_start_that_ingest_rejects(start):
     with pytest.raises(ValueError, match=f"start must be .*, got {start!r}"):
         synth_pmu(days=1, start=start)
+
+
+def test_synth_rejects_start_plus_days_past_datetime64():
+    # datetime64[us] ends at 294247-01-10T04:00:54.775807: ten days from here fit, eleven do not.
+    assert synth_pmu(days=10, start="294246-12-31").timestamps[-1] == np.datetime64(
+        "294247-01-09T23:00", "us")
+    for days in (11, 30):
+        with pytest.raises(ValueError, match=rf"^start '294246-12-31' plus days={days} runs past"):
+            synth_pmu(days=days, start="294246-12-31")
