@@ -179,6 +179,8 @@ _BAD_STAMPS = st.sampled_from([
     "2018-13-01", "", "NaT", "now", "Today", "2018-10-14T00:00+01:00", " 2018-10-14T00:00-05:00",
     "300000-01-01", "-300000-01-01T00:00Z", "20181014",
 ])
+# Lines csv.reader drops below the header: the plain split would not.
+_INTERRUPTIONS = st.sampled_from(["# note", "  #x,y", ""])
 
 
 @st.composite
@@ -233,10 +235,6 @@ def measurement_csv(draw, plain=None):
         lines.insert(at, draw(_INTERRUPTIONS))
         ends.insert(at, "\n")
     return "".join(map(str.__add__, lines, ends))
-
-
-# Lines csv.reader drops below the header: the plain split would not.
-_INTERRUPTIONS = st.sampled_from(["# note", "  #x,y", ""])
 
 
 def _ingest_outcome(reader, path):
