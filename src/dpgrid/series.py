@@ -13,6 +13,7 @@ file) and are skipped on ingest.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 import warnings
@@ -159,22 +160,20 @@ def _parse_timestamps(stamps: list) -> np.ndarray:
 _HEADERS = (["timestamp", "value"], ["timestamp", "value", "quality"])
 
 
-def _plain_columns(path):
-    """The file's columns by one split, or None if it needs csv.reader.
+def _plain_columns(text: str):
+    """The columns of the file's text by one split, or None if it needs csv.reader.
 
-    A file qualifies when csv.reader would cut it at every ',' and '\\n'
-    and drop only its leading '#' lines: no '"' or '\\r' anywhere, a good
-    header after the leading '#' lines, a body with no '#' in which every
-    line has exactly width - 1 commas and then a newline (the last one
-    may be missing), and no field longer than csv.field_size_limit().
-    Any other file returns None, so this never raises a format error.
+    Outside quotes csv.reader ends a row at '\\r\\n' as at '\\n', so '\\r\\n'
+    becomes '\\n' first.  The text then qualifies when csv.reader would cut
+    it at every ',' and '\\n' and drop only its leading '#' lines: no '"',
+    lone '\\r' or NUL anywhere, a good header after the leading '#' lines,
+    a body with no '#' in which every line has exactly width - 1 commas
+    and then a newline (the last one may be missing), and no field longer
+    than csv.field_size_limit().  Any other text returns None, so this
+    never raises a format error.
     """
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None  # csv.reader's decode error counts from the chunk it reads, not the file
-    if '"' in text or "\r" in text:
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
         return None
     start = 0
     while text.startswith("#", start):
@@ -203,17 +202,21 @@ def _plain_columns(path):
     return [fields[i::width] for i in range(width)]
 
 
-def _csv_columns(path):
+def _csv_columns(path, text):
     """The file's columns by csv.reader, dropping blank and '#' rows.
 
-    An empty file, a malformed header, no data rows, a row of the wrong
-    width and any csv.Error raise ValueError; a row error names its row.
+    text is the file's text, or None when it does not decode: csv.reader
+    then reads the file itself, so its decode error counts the bad byte
+    from the chunk it reads, as it always has.  An empty file, a
+    malformed header, no data rows, a row of the wrong width and any
+    csv.Error (a field beyond csv.field_size_limit(), or a NUL before
+    Python 3.11) raise ValueError; a row error names its row.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="") if text is None else io.StringIO(text, newline="") as fh:
         try:
             rows.extend(r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
-        except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        except csv.Error as exc:
             raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"empty file: {path}")
@@ -242,14 +245,20 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
     above and a field longer than csv.field_size_limit(); each row error
     names the first bad row.
 
-    A plain file, with no quoting, no '\\r' and no blank or '#' line
-    after its header, is cut into columns by one split; any other file
-    goes through csv.reader.  Both paths give the same series and the
-    same errors.
+    The file is read once, or twice if it does not decode.  A plain
+    file, with '\\n' or '\\r\\n' line ends, no quoting, no NUL and no
+    blank or '#' line after its header, is cut into columns by one
+    split; any other file goes through csv.reader.  Both paths give the
+    same series and the same errors.
     """
-    columns = _plain_columns(path)
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        text = None
+    columns = None if text is None else _plain_columns(text)
     if columns is None:
-        columns = _csv_columns(path)
+        columns = _csv_columns(path, text)
     stamps, texts = columns[:2]
     n = len(stamps)
     timestamps = _parse_timestamps(stamps)

@@ -1,4 +1,5 @@
 import csv
+import sys
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -188,13 +189,13 @@ def measurement_csv(draw, plain=None):
     """CSV text in the ingest format, mostly valid, always increasing.
 
     Stamps carry UTC suffixes and blank padding, and '#' metadata lines
-    may sit above the header.  A plain file (plain=True) is one that
-    ingest_csv cuts by one split: '\\n' line ends, the last one at times
-    missing, no quotes, and every row of the header's width.  Any other
-    file also has '\\r\\n' ends, quoted values, '#' and blank lines between
-    the data rows and rows of the wrong width, at random, and surely one
-    '\\r\\n' or one '#' or blank line below the header, so it goes through
-    csv.reader.  plain=None draws either kind.
+    may sit above the header.  Lines end in '\\n' or '\\r\\n'.  A plain
+    file (plain=True) is one that ingest_csv cuts by one split: its last
+    line end at times missing, no quotes, and every row of the header's
+    width.  Any other file also has quoted values, '#' and blank lines
+    between the data rows and rows of the wrong width, at random, and
+    surely one lone '\\r' line end or one '#' or blank line below the
+    header, so it goes through csv.reader.  plain=None draws either kind.
 
     Non-increasing rows are never drawn: their error changed on purpose
     (it now names its row) and the row-by-row reference gives the old
@@ -225,11 +226,12 @@ def measurement_csv(draw, plain=None):
         elif fault == 1 and not plain:
             fields.pop()
         lines.append(",".join(fields))
-    if plain:
-        return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
     ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
-    if draw(st.booleans()):
-        ends[draw(st.integers(0, len(lines) - 1))] = "\r\n"
+    if plain:
+        ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    elif draw(st.booleans()):
+        # Not before a blank line, whose '\n' would make it '\r\n'.
+        ends[draw(st.sampled_from([i for i, line in enumerate(lines[1:] + ["end"]) if line]))] = "\r"
     else:
         at = draw(st.integers(below_header, len(lines)))
         lines.insert(at, draw(_INTERRUPTIONS))
@@ -275,6 +277,8 @@ def test_each_strategy_branch_reaches_its_path(plain, path_taken, data, tmp_path
 
 _PLAIN = "timestamp,value\n2018-10-14T00:00:00,1.5\n2018-10-14T01:00:00,2.5\n"
 _LIMIT = csv.field_size_limit()
+# csv.reader takes a NUL from Python 3.11 on; before, it is a row error.
+_NUL_ERROR = None if sys.version_info >= (3, 11) else "row 4: line contains NUL"
 
 
 @pytest.mark.parametrize("text, path_taken, error", [
@@ -289,6 +293,8 @@ _LIMIT = csv.field_size_limit()
      "row 4: expected 2 fields, got 3"),
     (_PLAIN + "2018-10-14T02:00:00,3.5,x\n2018-10-14T03:00:00\n", "csv.reader",
      "row 4: expected 2 fields, got 3"),
+    (_PLAIN + "2018-10-14T02:00:00,3.5\0\n", "csv.reader", _NUL_ERROR),
+    (_PLAIN.replace("\n", "\r\n").replace(",1.5\r\n", ",1.5\r\r\n"), "csv.reader", None),
     (_PLAIN + "2018-10-14T02:00:00," + "1" * (_LIMIT + 1) + "\n", "csv.reader",
      f"row 4: field larger than field limit ({_LIMIT})"),
     ("# " + "x" * _LIMIT + "\n" + _PLAIN, "csv.reader",
@@ -296,11 +302,13 @@ _LIMIT = csv.field_size_limit()
     (_PLAIN + "2018-10-14T02:00:00," + "1" * _LIMIT + "\n", "split", None),
     ("# config_hash=abc\n#\n" + _PLAIN, "split", None),
     (_PLAIN.rstrip("\n"), "split", None),
+    ("# config_hash=abc\n" + _PLAIN.replace("\n", "\r\n"), "split", None),
+    (_PLAIN.replace("\n", "\r\n").rstrip("\r\n"), "split", None),
 ], ids=["blank-line-before-header", "indented-comment-before-header",
         "quoted-metadata-spans-newline", "comment-row-below-header", "lone-cr-line-end",
-        "wrong-width-row", "widths-that-cancel",
+        "wrong-width-row", "widths-that-cancel", "nul-in-value", "cr-before-crlf",
         "oversized-field", "oversized-metadata-field", "field-at-limit", "leading-metadata",
-        "no-trailing-newline"])
+        "no-trailing-newline", "crlf-rows-as-written", "crlf-no-trailing-newline"])
 def test_ingest_path_and_result(tmp_path, text, path_taken, error):
     path = _write(tmp_path, text)
     assert _ingest_path(path) == path_taken
