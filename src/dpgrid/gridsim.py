@@ -34,7 +34,9 @@ QUERY_KINDS = ("hourly_mean", "sum")
 _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
 _TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value",
                  "dp_noise", "injected", "noise_total", "delivered", "flag")
-# Bytes of one chunk of detection_rate's runs, at about four float rows per node and edge per run.
+# Bytes of one chunk of detection_rate's runs, at four float rows per node and edge per run.  That
+# covers each edge's draws and two walks and the detector's stack, cumsum and deviations, which
+# are allocated once per call at the size of a chunk.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -247,18 +249,29 @@ class SimTrace:
             fh.write("\n")
 
 
-def _rolling_flags(delivered: np.ndarray, detector: Detector) -> np.ndarray:
-    """Flags for a (rows, hours) block; each row is one edge's series."""
-    w = detector.window
-    flags = np.zeros(delivered.shape, dtype=bool)
-    if delivered.shape[-1] <= w:
-        return flags
+def _work_buffers(shape: tuple, w: int) -> tuple:
+    """_deviations' buffers for blocks of up to `shape` (..., hours): each row's mean,
+    its cumsum after a zero column, and its deviations past the w-step warm-up."""
+    *lead, n = shape
+    return np.empty((*lead, 1)), np.zeros((*lead, n + 1)), np.empty((*lead, n - w))
+
+
+def _deviations(block: np.ndarray, w: int, mean, csum, dev) -> np.ndarray:
+    """|delivered - mean of the previous w steps| for steps w.. of each row of a
+    (..., hours) block, into dev, where step t is column t - w.
+
+    The block is centred in place; mean, csum and dev are views of _work_buffers
+    with the block's leading shape, and hold nothing between calls but csum's zeros.
+    """
     # De-meaned, so the cumsum's rounding error scales with the spread, not the level.
-    centred = delivered - delivered.mean(axis=-1, keepdims=True)
-    csum = np.concatenate((np.zeros((len(centred), 1)), np.cumsum(centred, axis=-1)), axis=-1)
-    rolling = (csum[:, w:-1] - csum[:, :-w - 1]) / w
-    flags[:, w:] = np.abs(centred[:, w:] - rolling) > detector.tau
-    return flags
+    np.true_divide(np.add.reduce(block, axis=-1, keepdims=True, out=mean), block.shape[-1],
+                   out=mean)
+    np.subtract(block, mean, out=block)
+    np.cumsum(block, axis=-1, out=csum[..., 1:])
+    np.subtract(csum[..., w:-1], csum[..., :-w - 1], out=dev)
+    np.true_divide(dev, w, out=dev)
+    np.subtract(block[..., w:], dev, out=dev)
+    return np.abs(dev, out=dev)
 
 
 class _Query:
@@ -348,15 +361,19 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
     own, injected = query.draws(query.streams(seed), 1)
     totals = query.walk(own, injected)
     delivered = [true + noise for true, noise in zip(query.true, totals)]
-    flags = [np.zeros(block.shape, dtype=bool) if detector is None
-             else _rolling_flags(block, detector) for block in delivered]
+    # One row per edge; the detector's warm-up steps are never flagged.
+    flags = np.zeros((len(delivered), len(query.timestamps)), dtype=bool)
+    if detector is not None and flags.shape[1] > detector.window:
+        w = detector.window
+        stack = np.concatenate(delivered)  # a copy: _deviations centres it in place
+        flags[:, w:] = _deviations(stack, w, *_work_buffers(stack.shape, w)) > detector.tau
     injected = [injected.get(i, np.zeros_like(block)) for i, block in enumerate(own)]
     keys = [e.key for e in query.edges]
-    dp, inj, total, hit, flagged = (dict(zip(keys, (block[0] for block in blocks)))
-                                    for blocks in (own, injected, totals, delivered, flags))
+    dp, inj, total, hit = (dict(zip(keys, (block[0] for block in blocks)))
+                           for blocks in (own, injected, totals, delivered))
     return SimTrace(timestamps=query.timestamps, kind=kind, seed=seed, edge_keys=tuple(sorted(keys)),
                     true_values=dict(zip(keys, query.true)), dp_noise=dp, injected=inj,
-                    noise_total=total, delivered=hit, flags=flagged,
+                    noise_total=total, delivered=hit, flags=dict(zip(keys, flags)),
                     plaintext_attack_edges=tuple(topology.plaintext_attack_edges()))
 
 
@@ -396,15 +413,24 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     scored = [(i, max(w, start), end)
               for i, _, start, end, _ in streams[1] if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
+    # A pass's delivered blocks, one (runs, hours) layer per edge, and the detector's
+    # buffers: allocated once, so no chunk allocates anything of the stack's size.
+    stack = np.empty((len(query.edges), min(rows, n_runs), n))
+    work = _work_buffers(stack.shape, w)
     tp = fp = 0
     for first in range(0, n_runs, rows):
-        own, injected = query.draws(streams, min(rows, n_runs - first))
-        for true, noise in zip(query.true, query.walk(own, {})):
-            fp += int(_rolling_flags(true + noise, detector)[:, w:].sum())
+        r = min(rows, n_runs - first)
+        own, injected = query.draws(streams, r)
+        for i, noise in enumerate(query.walk(own, {})):
+            np.add(query.true[i], noise, out=stack[i, :r])
+        fp += int(np.count_nonzero(
+            _deviations(stack[:, :r], w, *(b[:, :r] for b in work)) > detector.tau))
         if scored:
             hit = query.walk(own, injected)
             for i, start, end in scored:
-                tp += int(_rolling_flags(query.true[i] + hit[i], detector)[:, start:end].sum())
+                np.add(query.true[i], hit[i], out=stack[i, :r])
+                dev = _deviations(stack[i, :r], w, *(b[i, :r] for b in work))
+                tp += int(np.count_nonzero(dev[:, start - w:end - w] > detector.tau))
     fpr = fp / (n_runs * len(topology.edges) * (n - w))
     tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
     tpr = tp / tp_opportunities if tp_opportunities else None

@@ -349,7 +349,8 @@ def synth_pmu(
     missing.  noise_level should stay well below 1 so values keep the
     profile's sign.  start is an ISO date; as on ingest, 'now', 'today'
     and a year datetime64[us] cannot hold are rejected, and so are a
-    start and days whose last hour datetime64[us] cannot hold.
+    start with a time of day other than midnight and a start and days
+    whose last hour datetime64[us] cannot hold.
     """
     if days <= 0:
         raise ValueError(f"days must be positive, got {days}")
@@ -364,6 +365,8 @@ def synth_pmu(
         raise ValueError(f"profile must have 24 hourly entries, got shape {base_profile.shape}")
 
     start_day = np.datetime64(start, "D")
+    if np.datetime64(start, "us") != start_day:
+        raise ValueError(f"start must be a date at midnight, got {start!r}")
     first_us = int(start_day.astype("datetime64[us]").astype(np.int64))
     if first_us + (days * 24 - 1) * 3_600_000_000 > np.iinfo(np.int64).max:
         raise ValueError(f"start {start!r} plus days={days} runs past datetime64[us]'s last stamp")

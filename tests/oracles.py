@@ -4,7 +4,9 @@ These deliberately avoid the package's own closed forms so tests can
 cross-check implementations against independent numerics.  The CSV
 reader and writers at the end are the row-by-row ingest the column-wise
 series.ingest_csv replaced and the csv.writer rows the column-wise
-csvio.write_csv replaced, kept as their references.
+csvio.write_csv replaced, kept as their references; the detector's flags
+per block come last, from before gridsim scored a whole stacked pass in
+reused buffers.
 """
 
 from __future__ import annotations
@@ -207,3 +209,22 @@ def trace_rows(trace):
         for key in trace.edge_keys:
             yield (t, stamp, *key, *(float(per_edge[key][t]) for per_edge in floats),
                    int(trace.flags[key][t]))
+
+
+def rolling_deviation_by_row(delivered: np.ndarray, w: int) -> np.ndarray:
+    """|delivered - mean of the previous w steps| for steps w.. of a (rows, hours) block."""
+    # De-meaned, so the cumsum's rounding error scales with the spread, not the level.
+    centred = delivered - delivered.mean(axis=-1, keepdims=True)
+    csum = np.concatenate((np.zeros((len(centred), 1)), np.cumsum(centred, axis=-1)), axis=-1)
+    rolling = (csum[:, w:-1] - csum[:, :-w - 1]) / w
+    return np.abs(centred[:, w:] - rolling)
+
+
+def rolling_flags_by_row(delivered: np.ndarray, detector) -> np.ndarray:
+    """Flags for a (rows, hours) block; each row is one edge's series."""
+    w = detector.window
+    flags = np.zeros(delivered.shape, dtype=bool)
+    if delivered.shape[-1] <= w:
+        return flags
+    flags[:, w:] = rolling_deviation_by_row(delivered, w) > detector.tau
+    return flags

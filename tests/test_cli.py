@@ -283,11 +283,13 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
 
 
 # Noise scales whose squares under- or overflow: the attacker's mean
-# shift is 0/0 or inf/inf there, which must not reach the output.
+# shift is 0/0 or inf/inf there, which must not reach the output.  A
+# stealth budget small enough for k1^2 to overflow would read as a shift of 0.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["impact", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
     ["impact", "--epsilon", "1e-100", "--gamma", "2", "--sensitivity", "1e100"],
+    ["impact", "--epsilon", "0.1", "--gamma", "3e-308", "--sensitivity", "2"],
     ["sweep", "--epsilons", "1e200", "--gammas", "2", "--sensitivities", "1e-3"],
     ["sweep", "--epsilons", "1,1e-100", "--gammas", "2", "--sensitivities", "1e100"],
     ["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "1e-300"],
@@ -295,9 +297,9 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
     ["calibrate", "--sensitivity", "1", "--gamma", "1", "--max-deviation", "1e308"],
     ["qos", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3", "--days", "60"],
     ["bench", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
-], ids=["impact-underflow", "impact-overflow", "sweep-underflow", "sweep-overflow",
-        "calibrate-underflow", "calibrate-overflow", "calibrate-scale-overflow", "qos-underflow",
-        "bench-underflow"])
+], ids=["impact-underflow", "impact-overflow", "impact-tilt-overflow", "sweep-underflow",
+        "sweep-overflow", "calibrate-underflow", "calibrate-overflow", "calibrate-scale-overflow",
+        "qos-underflow", "bench-underflow"])
 def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
@@ -418,9 +420,14 @@ def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra,
     assert needle in payload["error"]
 
 
-@pytest.mark.parametrize("start", ["now", "today", "300000-01-01"],
-                         ids=["now", "today", "year-beyond-datetime64"])
-def test_synth_bad_start_exits_2_with_json(capsys, tmp_path, start):
+_YEARS_NEEDLE = "start must be a date in datetime64[us]'s years, got {!r}"
+
+
+@pytest.mark.parametrize("start, needle", [
+    ("now", _YEARS_NEEDLE), ("today", _YEARS_NEEDLE), ("300000-01-01", _YEARS_NEEDLE),
+    ("2018-01-01T05:00", "start must be a date at midnight, got {!r}"),
+], ids=["now", "today", "year-beyond-datetime64", "time-of-day"])
+def test_synth_bad_start_exits_2_with_json(capsys, tmp_path, start, needle):
     out_file = tmp_path / "pmu.csv"
     code, out, err = run_cli(capsys, [
         "synth", "--days", "1", "--start", start, "--out", str(out_file),
@@ -428,7 +435,7 @@ def test_synth_bad_start_exits_2_with_json(capsys, tmp_path, start):
     assert code == 2 and out == ""
     payload = parse_json(err)
     assert payload["command"] == "synth"
-    assert f"start must be a date in datetime64[us]'s years, got {start!r}" in payload["error"]
+    assert needle.format(start) in payload["error"]
     assert not out_file.exists()
 
 

@@ -29,6 +29,7 @@ from dpgrid.gridsim import (
 from dpgrid.laplace import PrivacyParams, laplace_from_uniform
 from dpgrid.seeds import derive_rng
 from dpgrid.series import MeasurementSeries, synth_pmu
+from oracles import rolling_deviation_by_row, rolling_flags_by_row
 from test_golden import DETECTION_SHA256, _attacked_tree, _sha256_json
 
 FLAT = np.full(24, 30.0)
@@ -337,6 +338,56 @@ def test_rolling_mean_matches_direct_window_mean(level, spread, window, extra, n
     np.testing.assert_array_equal(trace.flags[("pmu1", "pdc1")], np.abs(deviation) > tau)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    edges=st.integers(1, 3),
+    rows=st.integers(1, 40),
+    window=st.integers(1, 48),
+    extra=st.integers(1, 60),
+    level=st.floats(-1e6, 1e6),
+    spread=st.floats(1e-2, 1e2),
+    tau_over_spread=st.floats(0.05, 3.0),
+    data_seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_deviations_equal_flags_by_row(edges, rows, window, extra, level, spread,
+                                               tau_over_spread, data_seed, data):
+    # detection_rate's use of the kernel: a whole (edges, rows, hours) stack, then a partial
+    # last chunk stack[:, :r] and one edge's view of it, all in one set of reused buffers.
+    # Deviations, flags and [start, end) counts equal the per-row oracle bit for bit.
+    n, w = window + extra, window
+    det = Detector(tau=tau_over_spread * spread, window=w)
+    rng = np.random.default_rng(data_seed)
+    stack = np.empty((edges, rows, n))
+    work = gridsim._work_buffers(stack.shape, w)
+    r = data.draw(st.integers(1, rows), label="r")
+    start = data.draw(st.integers(w, n - 1), label="start")
+    end = data.draw(st.integers(start, n), label="end")
+    for part in (slice(None), slice(None, r)):
+        stack[:] = np.nan  # what a chunk leaves behind must not matter
+        values = level + spread * rng.standard_normal(stack[:, part].shape)
+        stack[:, part] = values
+        expect = np.array([rolling_deviation_by_row(block, w) for block in values])
+        dev = gridsim._deviations(stack[:, part], w, *(b[:, part] for b in work))
+        np.testing.assert_array_equal(dev, expect)
+        flags = np.array([rolling_flags_by_row(block, det) for block in values])
+        np.testing.assert_array_equal(dev > det.tau, flags[..., w:])
+        assert not flags[..., :w].any()
+        stack[-1, part] = values[-1]
+        dev = gridsim._deviations(stack[-1, part], w, *(b[-1, part] for b in work))
+        assert (np.count_nonzero(dev[:, start - w:end - w] > det.tau)
+                == flags[-1][:, start:end].sum())
+
+
+@pytest.mark.parametrize("hours", [6, 24], ids=["shorter", "equal"])
+def test_run_query_flags_nothing_within_one_window(hours):
+    topo = chain_topology(dp={Layer.PMU: PrivacyParams(2.0, 0.5)})
+    series = {"pmu1": spiked_series(hours, spike_at=hours - 1, spike_value=1e6)}
+    trace = run_query(topo, series, "sum", Detector(tau=1e-3, window=24), seed=0)
+    for key in trace.edge_keys:
+        assert trace.flags[key].shape == (hours,) and not trace.flags[key].any()
+
+
 def test_false_positive_rate_matches_noise_tail():
     # Constant signal, Laplace noise at scale b, threshold 1.5 b: the
     # flag probability is e^-1.5 up to the rolling-mean correction,
@@ -416,7 +467,7 @@ def reference_detection_rate(topology, series, kind, detector, n_runs, seed):
         return delivered
 
     def flags(values):
-        return gridsim._rolling_flags(values[None], detector)[0]
+        return rolling_flags_by_row(values[None], detector)[0]
 
     tp = fp = tp_chances = fp_chances = 0
     for i in range(n_runs):

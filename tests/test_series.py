@@ -489,6 +489,18 @@ def test_synth_rejects_start_that_ingest_rejects(start):
         synth_pmu(days=1, start=start)
 
 
+def test_synth_start_is_midnight(tmp_path):
+    # The stamps start at midnight of start's day, so a time of day would be dropped.
+    paths = []
+    for start in ("2018-01-01", "2018-01-01T00:00"):
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        export_csv(synth_pmu(days=1, seed=3, start=start), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    for start in ("2018-01-01T05:00", "2018-01-01T00:00:00.000001"):
+        with pytest.raises(ValueError, match=f"^start must be a date at midnight, got {start!r}"):
+            synth_pmu(days=1, start=start)
+
+
 def test_synth_rejects_start_plus_days_past_datetime64():
     # datetime64[us] ends at 294247-01-10T04:00:54.775807: ten days from here fit, eleven do not.
     assert synth_pmu(days=10, start="294246-12-31").timestamps[-1] == np.datetime64(
