@@ -64,8 +64,8 @@ def bisect_root(below, lo: float, hi: float) -> float:
 def tilted_mean_shift(k1: float, scale: float) -> float:
     """Mean shift 2 b^2 k1 / (k1^2 - b^2) of the attack density.
 
-    ValueError unless b > 0, k1 > b and the shift is finite (b^2 must not under- or overflow,
-    nor k1^2 overflow, which would read as a shift of 0).
+    ValueError unless b > 0, k1 > b and the shift is positive and finite: b^2 must not
+    under- or overflow, nor k1^2 overflow, or the shift reads 0, nan or inf.
     """
     if scale <= 0.0:
         raise ValueError("attack needs a positive noise scale to hide in")
@@ -75,7 +75,7 @@ def tilted_mean_shift(k1: float, scale: float) -> float:
         shift = 2.0 * scale * scale * k1 / (k1 * k1 - scale * scale)
     except ZeroDivisionError:
         shift = math.nan
-    if not math.isfinite(shift) or math.isinf(k1 * k1):
+    if not 0.0 < shift < math.inf:
         raise ValueError("noise scale out of range: the attacker's mean shift is not finite")
     return shift
 

@@ -361,12 +361,15 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
     own, injected = query.draws(query.streams(seed), 1)
     totals = query.walk(own, injected)
     delivered = [true + noise for true, noise in zip(query.true, totals)]
-    # One row per edge; the detector's warm-up steps are never flagged.
+    # One row per edge; the detector's warm-up steps are never flagged.  Edge by edge, in one
+    # row's buffers: a trace of a wide tree would otherwise hold three copies of it at once.
     flags = np.zeros((len(delivered), len(query.timestamps)), dtype=bool)
     if detector is not None and flags.shape[1] > detector.window:
         w = detector.window
-        stack = np.concatenate(delivered)  # a copy: _deviations centres it in place
-        flags[:, w:] = _deviations(stack, w, *_work_buffers(stack.shape, w)) > detector.tau
+        row, work = np.empty(flags.shape[1]), _work_buffers(flags.shape[1:], w)
+        for flag, block in zip(flags, delivered):
+            np.copyto(row, block[0])  # _deviations centres in place; delivered is kept
+            flag[w:] = _deviations(row, w, *work) > detector.tau
     injected = [injected.get(i, np.zeros_like(block)) for i, block in enumerate(own)]
     keys = [e.key for e in query.edges]
     dp, inj, total, hit = (dict(zip(keys, (block[0] for block in blocks)))

@@ -180,9 +180,10 @@ def test_tilted_mean_shift_is_a_python_float():
     (2e-170, 1e-170, "not finite"),  # both squares underflow to 0: 0 / 0
     (2e160, 1e160, "not finite"),  # b^2 overflows
     (1.15e155, 20.0, "not finite"),  # k1^2 overflows: the shift would read 0.0
+    (1e-160, 1e-170, "not finite"),  # only b^2 underflows: the shift would read 0.0
     (math.nan, 1.0, None),
     (2.0, math.nan, None),
-], ids=["underflow", "overflow", "k1-overflow", "nan-k1", "nan-scale"])
+], ids=["underflow", "overflow", "k1-overflow", "b-underflow", "nan-k1", "nan-scale"])
 def test_tilted_mean_shift_out_of_range_raises_without_warning(k1, scale, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -283,13 +283,14 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
 
 
 # Noise scales whose squares under- or overflow: the attacker's mean
-# shift is 0/0 or inf/inf there, which must not reach the output.  A
-# stealth budget small enough for k1^2 to overflow would read as a shift of 0.
+# shift is 0/0 or inf/inf there, which must not reach the output.  Where
+# only k1^2 overflows or only b^2 underflows, the shift would read 0.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["impact", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
     ["impact", "--epsilon", "1e-100", "--gamma", "2", "--sensitivity", "1e100"],
     ["impact", "--epsilon", "0.1", "--gamma", "3e-308", "--sensitivity", "2"],
+    ["impact", "--epsilon", "1", "--gamma", "1e-20", "--sensitivity", "1e-170"],
     ["sweep", "--epsilons", "1e200", "--gammas", "2", "--sensitivities", "1e-3"],
     ["sweep", "--epsilons", "1,1e-100", "--gammas", "2", "--sensitivities", "1e100"],
     ["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "1e-300"],
@@ -297,9 +298,9 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
     ["calibrate", "--sensitivity", "1", "--gamma", "1", "--max-deviation", "1e308"],
     ["qos", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3", "--days", "60"],
     ["bench", "--epsilon", "1e200", "--gamma", "2", "--sensitivity", "1e-3"],
-], ids=["impact-underflow", "impact-overflow", "impact-tilt-overflow", "sweep-underflow",
-        "sweep-overflow", "calibrate-underflow", "calibrate-overflow", "calibrate-scale-overflow",
-        "qos-underflow", "bench-underflow"])
+], ids=["impact-underflow", "impact-overflow", "impact-tilt-overflow", "impact-scale-underflow",
+        "sweep-underflow", "sweep-overflow", "calibrate-underflow", "calibrate-overflow",
+        "calibrate-scale-overflow", "qos-underflow", "bench-underflow"])
 def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
