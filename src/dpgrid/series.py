@@ -364,10 +364,11 @@ def synth_pmu(
     if base_profile.shape != (24,):
         raise ValueError(f"profile must have 24 hourly entries, got shape {base_profile.shape}")
 
-    start_day = np.datetime64(start, "D")
-    if np.datetime64(start, "us") != start_day:
+    first = np.datetime64(start, "us")
+    start_day = first.astype("datetime64[D]")
+    if first != start_day:
         raise ValueError(f"start must be a date at midnight, got {start!r}")
-    first_us = int(start_day.astype("datetime64[us]").astype(np.int64))
+    first_us = int(first.astype(np.int64))
     if first_us + (days * 24 - 1) * 3_600_000_000 > np.iinfo(np.int64).max:
         raise ValueError(f"start {start!r} plus days={days} runs past datetime64[us]'s last stamp")
     timestamps = (start_day.astype("datetime64[h]") + np.arange(days * 24)).astype("datetime64[us]")
