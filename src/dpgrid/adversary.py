@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import product, zip_longest
+from itertools import chain, cycle, product, repeat, zip_longest
 from operator import attrgetter
 
 from .csvio import write_csv
@@ -194,31 +194,60 @@ class SweepPoint:
     deviation: float
 
 
+_SWEEP_HEADER = [f.name for f in fields(SweepPoint)]
+
+
+def _sweep_grid(epsilons, gammas, sensitivities, theta):
+    """Solve the grid in product order: the validated axes and the k1, mu_star, deviation columns.
+
+    Every cell is solved before anything returns, so the first faulty cell in product order
+    raises.  k1 is scale times a ratio of gamma alone: one root-solve per distinct gamma.
+    """
+    axes = [float(e) for e in epsilons], [float(g) for g in gammas], [float(s) for s in sensitivities]
+    if not all(axes):
+        raise ValueError("sweep axes must be non-empty")
+    for e, s in zip_longest(axes[0], axes[2], fillvalue=1.0):
+        PrivacyParams(s, e, theta)  # the per-cell checks, once per axis value
+    ratio_of = {g: solve_k1(g, 1.0) for g in dict.fromkeys(axes[1])}
+    k1s, mus, devs = solved = [], [], []
+    for e, g, s in product(*axes):
+        scale = s / e
+        k1 = scale * ratio_of[g]
+        mu = theta + tilted_mean_shift(k1, scale)
+        k1s.append(k1)
+        mus.append(mu)
+        devs.append(mu - theta)
+    return axes, solved
+
+
 def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
     """Best stealthy mean shift over a parameter grid.
 
     Returns one SweepPoint per (epsilon, gamma, sensitivity) cell, in
-    product order, equal to AttackProfile.solve's.  k1 factorizes as
-    scale times a ratio of gamma alone: one root-solve per distinct gamma.
+    product order, equal to AttackProfile.solve's.
     """
-    eps_list = [float(e) for e in epsilons]
-    gamma_list = [float(g) for g in gammas]
-    sens_list = [float(s) for s in sensitivities]
-    if not eps_list or not gamma_list or not sens_list:
-        raise ValueError("sweep axes must be non-empty")
-    for e, s in zip_longest(eps_list, sens_list, fillvalue=1.0):
-        PrivacyParams(s, e, theta)  # the per-cell checks, once per axis value
-    ratio_of = {g: solve_k1(g, 1.0) for g in dict.fromkeys(gamma_list)}
-    points = []
-    for e, g, s in product(eps_list, gamma_list, sens_list):
-        scale = s / e
-        k1 = scale * ratio_of[g]
-        mu = theta + tilted_mean_shift(k1, scale)
-        points.append(SweepPoint(e, g, s, theta, k1, mu, mu - theta))
-    return points
+    axes, solved = _sweep_grid(epsilons, gammas, sensitivities, theta)
+    return [SweepPoint(e, g, s, theta, k1, mu, dev)
+            for (e, g, s), k1, mu, dev in zip(product(*axes), *solved)]
 
 
 def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
     points = list(points)  # read once per column
-    header = [f.name for f in fields(SweepPoint)]
-    write_csv(path, header, [map(repr, map(attrgetter(n), points)) for n in header], metadata)
+    write_csv(path, _SWEEP_HEADER, [map(repr, map(attrgetter(n), points)) for n in _SWEEP_HEADER],
+              metadata)
+
+
+def _write_sweep(path, axes, solved, theta: float, metadata: dict | None = None) -> None:
+    """sweep_to_csv's bytes for _sweep_grid's result, with no SweepPoint.
+
+    Each axis value is repr'd once and repeated in product order (each epsilon |gamma| * |S|
+    times, the gamma block of each gamma |S| times cycled, S cycled, theta throughout); only
+    k1, mu_star and deviation are formatted per cell.
+    """
+    epsilons, gammas, sensitivities = axes
+    per_gamma = len(sensitivities)
+    columns = [chain.from_iterable(repeat(repr(e), len(gammas) * per_gamma) for e in epsilons),
+               cycle([repr(g) for g in gammas for _ in range(per_gamma)]),
+               cycle([repr(s) for s in sensitivities]), repeat(repr(theta)),
+               *(map(repr, column) for column in solved)]
+    write_csv(path, _SWEEP_HEADER, columns, metadata)

@@ -118,12 +118,12 @@ def _cmd_impact(args: argparse.Namespace, config_hash: str) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
-    from .adversary import impact_sweep, sweep_to_csv
+    from .adversary import _sweep_grid, _write_sweep
 
-    points = impact_sweep(args.epsilons, args.gammas, args.sensitivities, theta=args.theta)
+    axes, solved = _sweep_grid(args.epsilons, args.gammas, args.sensitivities, args.theta)
     out = _resolve_out(args.out)
-    sweep_to_csv(points, out, metadata={"config_hash": config_hash})
-    _emit_json({"rows": len(points), "out": out, "config_hash": config_hash}, None)
+    _write_sweep(out, axes, solved, args.theta, metadata={"config_hash": config_hash})
+    _emit_json({"rows": len(solved[0]), "out": out, "config_hash": config_hash}, None)
     return 0
 
 

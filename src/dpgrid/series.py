@@ -347,10 +347,11 @@ def synth_pmu(
     on Saturdays and Sundays, times multiplicative jitter
     (1 + noise_level * N(0, 1)).  A fraction of readings is dropped as
     missing.  noise_level should stay well below 1 so values keep the
-    profile's sign.  start is an ISO date; as on ingest, 'now', 'today'
-    and a year datetime64[us] cannot hold are rejected, and so are a
-    start with a time of day other than midnight and a start and days
-    whose last hour datetime64[us] cannot hold.
+    profile's sign.  start is an ISO date; as on ingest, a zone other
+    than a 'Z' or '+00:00' suffix, 'now', 'today' and a year
+    datetime64[us] cannot hold are rejected, and so are a start with a
+    time of day other than midnight and a start and days whose last
+    hour datetime64[us] cannot hold.
     """
     if days <= 0:
         raise ValueError(f"days must be positive, got {days}")
@@ -364,7 +365,10 @@ def synth_pmu(
     if base_profile.shape != (24,):
         raise ValueError(f"profile must have 24 hourly entries, got shape {base_profile.shape}")
 
-    first = np.datetime64(start, "us")
+    try:
+        first = _parse_timestamps([start])[0]  # the zones ingest takes: none, 'Z' or '+00:00'
+    except ValueError:
+        raise ValueError(f"start must be an ISO-8601 date in UTC, got {start!r}") from None
     start_day = first.astype("datetime64[D]")
     if first != start_day:
         raise ValueError(f"start must be a date at midnight, got {start!r}")

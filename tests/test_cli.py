@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpgrid.adversary import AttackProfile
+from dpgrid.adversary import AttackProfile, impact_sweep, sweep_to_csv
 from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.cli import main
 from dpgrid.gridsim import Edge, GridTopology, Layer, Node, save_topology
@@ -88,6 +94,31 @@ def test_sweep_writes_csv(capsys, tmp_path):
     lines = out_file.read_text().splitlines()
     assert lines[0] == f"# config_hash={payload['config_hash']}"
     assert len(lines) == 2 + 4
+
+
+def _axis(low, high):
+    """A grid axis drawn from a small pool, so values repeat and single-value axes occur."""
+    return st.lists(st.floats(low, high), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=120)
+@given(epsilons=_axis(0.05, 20.0), gammas=_axis(1e-3, 1e3), sensitivities=_axis(0.05, 20.0),
+       theta=st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e3, 1e3))
+def test_sweep_command_writes_sweep_to_csv_bytes(epsilons, gammas, sensitivities, theta):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "sweep.csv")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["sweep", *(f"--{name}={','.join(map(repr, axis))}" for name, axis in (
+                ("epsilons", epsilons), ("gammas", gammas), ("sensitivities", sensitivities))),
+                f"--theta={theta!r}", "--out", str(out)]) == 0
+        payload = parse_json(stdout.getvalue())
+        points = impact_sweep(epsilons, gammas, sensitivities, theta=theta)
+        expected = Path(tmp, "points.csv")
+        sweep_to_csv(points, expected, metadata={"config_hash": payload["config_hash"]})
+        assert payload["rows"] == len(points)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_sweep_rejects_empty_axis(capsys):
@@ -302,14 +333,16 @@ def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
         "sweep-underflow", "sweep-overflow", "calibrate-underflow", "calibrate-overflow",
         "calibrate-scale-overflow", "qos-underflow", "bench-underflow"])
 def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
+    out_file = tmp_path / "sweep.csv"
     if argv[0] == "sweep":
-        argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+        argv = [*argv, "--out", str(out_file)]
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     payload = parse_json(err)
     assert payload["command"] == argv[0]
     assert "not finite" in payload["error"]
+    assert not out_file.exists()  # every cell is solved before the file opens
 
 
 # A stealth budget the tilt's root solve cannot resolve, at either end.
@@ -427,7 +460,8 @@ _YEARS_NEEDLE = "start must be a date in datetime64[us]'s years, got {!r}"
 @pytest.mark.parametrize("start, needle", [
     ("now", _YEARS_NEEDLE), ("today", _YEARS_NEEDLE), ("300000-01-01", _YEARS_NEEDLE),
     ("2018-01-01T05:00", "start must be a date at midnight, got {!r}"),
-], ids=["now", "today", "year-beyond-datetime64", "time-of-day"])
+    ("2018-01-01T01:00+01:00", "start must be an ISO-8601 date in UTC, got {!r}"),
+], ids=["now", "today", "year-beyond-datetime64", "time-of-day", "zone"])
 def test_synth_bad_start_exits_2_with_json(capsys, tmp_path, start, needle):
     out_file = tmp_path / "pmu.csv"
     code, out, err = run_cli(capsys, [

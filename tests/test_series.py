@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 from datetime import datetime, timedelta
 from unittest import mock
@@ -498,6 +499,19 @@ def test_synth_start_is_midnight(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     for start in ("2018-01-01T05:00", "2018-01-01T00:00:00.000001"):
         with pytest.raises(ValueError, match=f"^start must be a date at midnight, got {start!r}"):
+            synth_pmu(days=1, start=start)
+
+
+def test_synth_start_takes_only_the_utc_zones_ingest_takes(tmp_path):
+    paths = []
+    for start in ("2018-01-01", "2018-01-01T00:00Z", "2018-01-01T00:00+00:00"):
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        export_csv(synth_pmu(days=1, seed=3, start=start), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    # numpy would shift these to UTC with a UserWarning; ingest rejects them.
+    for start in ("2018-01-01T01:00+01:00", "2017-12-31T19:00-05:00", "2018-01-01T00:00-00:00"):
+        message = f"start must be an ISO-8601 date in UTC, got {start!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             synth_pmu(days=1, start=start)
 
 
