@@ -138,7 +138,12 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
         raise ValueError("--n-runs estimates detection rates and needs a detector: set --tau")
     topology = load_topology(args.topology)
     # The last file per node wins; earlier ones are not read.
-    series_map = {node: ingest_csv(path) for node, path in dict(args.series or []).items()}
+    series_paths = dict(args.series or [])
+    stray = sorted(set(series_paths).difference(topology.pmu_ids()))
+    if stray:
+        raise ValueError(f"--series names node(s) that are not PMUs of the topology: "
+                         f"{', '.join(stray)}")
+    series_map = {node: ingest_csv(path) for node, path in series_paths.items()}
     if args.synth_days:
         for pmu in topology.pmu_ids():
             if pmu not in series_map:

@@ -35,8 +35,8 @@ _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
 _TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value",
                  "dp_noise", "injected", "noise_total", "delivered", "flag")
 # Bytes of one chunk of detection_rate's runs, at four float rows per node and edge per run.  That
-# covers each edge's draws and two walks and the detector's stack, cumsum and deviations, which
-# are allocated once per call at the size of a chunk.
+# covers each edge's draws and injections, the stack both walks write into, and the detector's
+# cumsum and deviations; the stack and the detector's buffers are allocated once per call.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -275,7 +275,8 @@ def _deviations(block: np.ndarray, w: int, mean, csum, dev) -> np.ndarray:
 
 
 class _Query:
-    """One query's inputs, prepared once: hourly grid, walk order and each edge's true value."""
+    """One query's inputs, prepared once: hourly grid, walk order and each edge's true value,
+    one (1, hours) row per edge of an (edges, 1, hours) array that broadcasts over runs."""
 
     def __init__(self, topology: GridTopology, series_map: Mapping, kind: str) -> None:
         if kind not in QUERY_KINDS:
@@ -301,12 +302,11 @@ class _Query:
         for i, e in enumerate(self.edges):
             children_of.setdefault(e.parent, []).append(i)
         self.children = [children_of.get(e.child, []) for e in self.edges]
-        self.true = []
-        for e, kids in zip(self.edges, self.children):
-            self.true.append(self._combine([self.true[k] for k in kids]) if kids
-                             else hourly[e.child].values)
+        self.true = np.empty((len(self.edges), 1, len(self.timestamps)))
+        for i, (e, kids) in enumerate(zip(self.edges, self.children)):
+            self.true[i] = self._combine(self.true[kids]) if kids else hourly[e.child].values
 
-    def _combine(self, values: list) -> np.ndarray:
+    def _combine(self, values: np.ndarray) -> np.ndarray:
         total = np.sum(values, axis=0)
         return total / len(values) if self.how == "mean" else total
 
@@ -321,30 +321,29 @@ class _Query:
                  for start, end in [e.attack_window or (0, n)] if min(n, end) > start]
         return nodes, edges
 
-    def draws(self, streams: tuple, rows: int) -> tuple[list, dict]:
-        """The next `rows` runs of every stream as (rows, hours) blocks: each node's privacy
-        draws (zeros outside the policy) and, by edge index, each streamed edge's injections
+    def draws(self, streams: tuple, rows: int) -> tuple[np.ndarray, dict]:
+        """The next `rows` runs of every stream: each node's privacy draws in one (edges, rows,
+        hours) array (zeros outside the policy) and, by edge index, each streamed edge's injections
         (zero outside its window).  A run's row depends only on its stream and its index."""
         nodes, edges = streams
-        shape = (rows, len(self.timestamps))
-        own = [np.zeros(shape) for _ in self.edges]
+        own = np.zeros((len(self.edges), rows, len(self.timestamps)))
         for i, scale, gen in nodes:
-            own[i] = laplace_from_uniform(gen.random(shape), scale)
+            own[i] = laplace_from_uniform(gen.random(own.shape[1:]), scale)
         injected = {}
         for i, attacker, start, end, gen in edges:
-            injected[i] = block = np.zeros(shape)
+            injected[i] = block = np.zeros(own.shape[1:])
             for row in block:
                 row[start:end] = sample_attack_noise(attacker, gen, size=end - start)
         return own, injected
 
-    def walk(self, own: list, injected: dict) -> list:
-        """Each edge's noise_total block: the combined noise its child receives, the child's
-        own draws and the edge's injection, if any; delivered is true[i] plus it."""
-        totals = []
+    def walk(self, own: np.ndarray, injected: dict, out: np.ndarray) -> np.ndarray:
+        """Writes each edge's noise_total into out[i]: the combined noise its child receives,
+        the child's own draws and the edge's injection, if any; delivered is true[i] plus it."""
         for i, kids in enumerate(self.children):
-            noise = (self._combine([totals[k] for k in kids]) if kids else 0.0) + own[i]
-            totals.append(noise + injected[i] if i in injected else noise)
-        return totals
+            np.add(self._combine(out[kids]) if kids else 0.0, own[i], out=out[i])
+            if i in injected:
+                out[i] += injected[i]
+        return out
 
 
 def run_query(topology: GridTopology, series_map: Mapping, kind: str,
@@ -359,25 +358,21 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
     """
     query = _Query(topology, series_map, kind)
     own, injected = query.draws(query.streams(seed), 1)
-    totals = query.walk(own, injected)
-    delivered = [true + noise for true, noise in zip(query.true, totals)]
-    # One row per edge; the detector's warm-up steps are never flagged.  Edge by edge, in one
-    # row's buffers: a trace of a wide tree would otherwise hold three copies of it at once.
-    flags = np.zeros((len(delivered), len(query.timestamps)), dtype=bool)
-    if detector is not None and flags.shape[1] > detector.window:
+    totals = query.walk(own, injected, np.empty_like(own))
+    delivered = query.true + totals
+    # One (1, hours) row per edge; the detector's warm-up steps are never flagged.
+    flags = np.zeros(delivered.shape, dtype=bool)
+    if detector is not None and flags.shape[-1] > detector.window:
         w = detector.window
-        row, work = np.empty(flags.shape[1]), _work_buffers(flags.shape[1:], w)
-        for flag, block in zip(flags, delivered):
-            np.copyto(row, block[0])  # _deviations centres in place; delivered is kept
-            flag[w:] = _deviations(row, w, *work) > detector.tau
+        dev = _deviations(delivered.copy(), w, *_work_buffers(delivered.shape, w))
+        flags[..., w:] = dev > detector.tau
     injected = [injected.get(i, np.zeros_like(block)) for i, block in enumerate(own)]
     keys = [e.key for e in query.edges]
-    dp, inj, total, hit = (dict(zip(keys, (block[0] for block in blocks)))
-                           for blocks in (own, injected, totals, delivered))
+    true, dp, inj, total, hit, flag = (dict(zip(keys, (block[0] for block in blocks))) for blocks
+                                       in (query.true, own, injected, totals, delivered, flags))
     return SimTrace(timestamps=query.timestamps, kind=kind, seed=seed, edge_keys=tuple(sorted(keys)),
-                    true_values=dict(zip(keys, query.true)), dp_noise=dp, injected=inj,
-                    noise_total=total, delivered=hit, flags=dict(zip(keys, flags)),
-                    plaintext_attack_edges=tuple(topology.plaintext_attack_edges()))
+                    true_values=true, dp_noise=dp, injected=inj, noise_total=total, delivered=hit,
+                    flags=flag, plaintext_attack_edges=tuple(topology.plaintext_attack_edges()))
 
 
 @dataclass(frozen=True)
@@ -416,7 +411,7 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     scored = [(i, max(w, start), end)
               for i, _, start, end, _ in streams[1] if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
-    # A pass's delivered blocks, one (runs, hours) layer per edge, and the detector's
+    # The stack a pass is walked into, one (runs, hours) layer per edge, and the detector's
     # buffers: allocated once, so no chunk allocates anything of the stack's size.
     stack = np.empty((len(query.edges), min(rows, n_runs), n))
     work = _work_buffers(stack.shape, w)
@@ -424,15 +419,16 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     for first in range(0, n_runs, rows):
         r = min(rows, n_runs - first)
         own, injected = query.draws(streams, r)
-        for i, noise in enumerate(query.walk(own, {})):
-            np.add(query.true[i], noise, out=stack[i, :r])
+        clean = query.walk(own, {}, stack[:, :r])
+        clean += query.true
         fp += int(np.count_nonzero(
-            _deviations(stack[:, :r], w, *(b[:, :r] for b in work)) > detector.tau))
+            _deviations(clean, w, *(b[:, :r] for b in work)) > detector.tau))
         if scored:
-            hit = query.walk(own, injected)
+            # The walk reads the children's noise totals, so true values go in after it.
+            hit = query.walk(own, injected, stack[:, :r])
             for i, start, end in scored:
-                np.add(query.true[i], hit[i], out=stack[i, :r])
-                dev = _deviations(stack[i, :r], w, *(b[i, :r] for b in work))
+                hit[i] += query.true[i]
+                dev = _deviations(hit[i], w, *(b[i, :r] for b in work))
                 tp += int(np.count_nonzero(dev[:, start - w:end - w] > detector.tau))
     fpr = fp / (n_runs * len(topology.edges) * (n - w))
     tp_opportunities = n_runs * sum(end - start for _, start, end in scored)

@@ -52,6 +52,9 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"noise scale sensitivity / epsilon is not finite: "
+                             f"{self.sensitivity} / {self.epsilon}")
 
     @property
     def scale(self) -> float:

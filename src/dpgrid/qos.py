@@ -26,15 +26,6 @@ from .laplace import PrivacyParams, sample_laplace
 from .series import MeasurementSeries
 from .seeds import derive_rng
 
-__all__ = [
-    "CostReport",
-    "UtilityReport",
-    "dp_protect",
-    "inject_attack",
-    "cost_analysis",
-    "utility_report",
-]
-
 
 @dataclass(frozen=True)
 class CostReport:

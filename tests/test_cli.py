@@ -399,6 +399,13 @@ def _series_file(text):
     return extra
 
 
+def _stray_series(tmp_path):
+    """Series files for a PDC and an unknown node; ingest would reject the file itself."""
+    path = tmp_path / "stray.csv"
+    path.write_text("not a measurement file\n")
+    return ["--series", f"pdc1={path}", "--series", f"typo={path}"]
+
+
 def _stamped_series(stamp):
     """Arguments giving pmu1 a series whose row 3 is stamped `stamp`."""
     return _series_file(f"timestamp,value\n2018-01-01T00:00:00,1.0\n{stamp},2.0\n")
@@ -435,11 +442,15 @@ def _stamped_series(stamp):
     (_CHAIN, _stamped_series("300000-01-01"), "row 3: bad timestamp '300000-01-01'"),
     (_CHAIN, _series_file("timestamp,value\n2018-01-01T00:00:00," + "1" * 140_000 + "\n"),
      "row 2: field larger than field limit (131072)"),
+    ({**_CHAIN, "dp_policy": {"PMU": {"sensitivity": 1e308, "epsilon": 1e-10}}}, [],
+     "not finite"),
+    (_CHAIN, _stray_series, "--series names node(s) that are not PMUs of the topology: pdc1, typo"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
         "huge-window", "unknown-kind", "non-utc-stamp", "now-stamp", "today-stamp",
-        "year-beyond-datetime64", "oversized-field"])
+        "year-beyond-datetime64", "oversized-field", "policy-scale-overflow",
+        "series-not-a-pmu"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))

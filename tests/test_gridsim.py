@@ -503,6 +503,10 @@ def test_detection_rate_equals_paired_run_query(windows, wiring, expect_tpr):
     rates = detection_rate(topo, series, "sum", det, n_runs=1000, seed=11)
     assert rates == reference_detection_rate(topo, series, "sum", det, 1000, 11)
     assert (rates.true_positive_rate is not None) == expect_tpr
+    trace = run_query(topo, series, "sum", det, seed=11)
+    for key in trace.edge_keys:
+        expect = rolling_flags_by_row(trace.delivered[key][None], det)[0]
+        assert np.array_equal(trace.flags[key], expect)
 
 
 def test_draws_are_rows_of_one_whole_call_draw():
