@@ -15,15 +15,15 @@ that way when extending (no BLAS-parallel ops inside the timed region).
 
 from __future__ import annotations
 
-import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
+from .csvio import write_json
 from .laplace import PrivacyParams
 from .seeds import derive_rng
 from .series import MeasurementSeries
@@ -49,13 +49,7 @@ class BenchResult:
             raise ValueError("speedup must equal aes_seconds / dp_seconds")
 
     def to_dict(self, include_machine: bool = True) -> dict:
-        out = {
-            "dp_seconds": self.dp_seconds,
-            "aes_seconds": self.aes_seconds,
-            "speedup": self.speedup,
-            "batch_size": self.batch_size,
-            "reps": self.reps,
-        }
+        out = asdict(self)
         if include_machine:
             out["machine"] = {
                 "platform": platform.platform(),
@@ -67,12 +61,7 @@ class BenchResult:
         return out
 
     def to_json(self, path, metadata: dict | None = None) -> None:
-        payload = self.to_dict()
-        if metadata:
-            payload["metadata"] = dict(metadata)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict(), metadata)
 
 
 def _cpu_model() -> str:

@@ -21,6 +21,7 @@ theta + d; calibrate_epsilon checks that identity on every call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,6 +102,8 @@ def calibrate_epsilon(spec: DesignSpec) -> DesignResult:
     if not (math.isfinite(scale) and scale > 0.0):  # 2 k1 + d overflows near 1e308
         raise ValueError(f"calibrated noise scale {scale} is not finite and positive")
     epsilon = spec.sensitivity / scale
+    if epsilon < sys.float_info.min:  # subnormal: sensitivity / epsilon no longer gives scale back
+        raise ValueError(f"calibrated epsilon {epsilon} is below the smallest normal float")
     base = PrivacyParams(sensitivity=spec.sensitivity, epsilon=epsilon, theta=spec.theta)
     predicted = optimal_impact(AttackProfile.solve(spec.gamma, base))
     if not abs(predicted - (spec.theta + d)) <= _ROUND_TRIP_RTOL * max(1.0, abs(d)):

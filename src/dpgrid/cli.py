@@ -20,11 +20,14 @@ numpy at all.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
+import warnings
+from typing import Callable
 
 OUTPUT_DIR_ENV = "DPGRID_OUTPUT_DIR"
 # Arguments that name where outputs go, not what they contain.
@@ -64,11 +67,12 @@ def _resolve_out(path: str) -> str:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    print(text)
+    """Write payload to out, if given, then to stdout: a refused document prints nothing."""
+    from .csvio import json_text, write_json
+
     if out:
-        with open(_resolve_out(out), "w") as fh:
-            fh.write(text + "\n")
+        write_json(_resolve_out(out), payload)
+    sys.stdout.write(json_text(payload))
 
 
 def _float_list(text: str) -> list:
@@ -85,49 +89,41 @@ def _series_assignment(text: str) -> tuple:
     return node, path
 
 
-def _cmd_calibrate(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_calibrate(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from dataclasses import asdict
 
     from .calibrate import DesignSpec, calibrate_epsilon
 
     spec = DesignSpec(sensitivity=args.sensitivity, gamma=args.gamma, theta=args.theta,
                       max_deviation=args.max_deviation)
-    _emit_json({**asdict(calibrate_epsilon(spec)), "config_hash": config_hash}, args.out)
+    _emit_json({**asdict(calibrate_epsilon(spec)), "config_hash": config_hash()}, args.out)
     return 0
 
 
-def _cmd_impact(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_impact(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from .adversary import AttackProfile
     from .laplace import PrivacyParams
 
     base = PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon, theta=args.theta)
     profile = AttackProfile.solve(args.gamma, base)
-    payload = {
-        "epsilon": args.epsilon,
-        "gamma": args.gamma,
-        "sensitivity": args.sensitivity,
-        "theta": args.theta,
-        "scale": base.scale,
-        "k1": profile.k1,
-        "mu_star": profile.mu_star,
-        "deviation": profile.mean_shift,
-        "config_hash": config_hash,
-    }
+    payload = {name: getattr(args, name) for name in ("epsilon", "gamma", "sensitivity", "theta")}
+    payload.update(scale=base.scale, k1=profile.k1, mu_star=profile.mu_star,
+                   deviation=profile.mean_shift, config_hash=config_hash())
     _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_sweep(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from .adversary import _sweep_grid, _write_sweep
 
     axes, solved = _sweep_grid(args.epsilons, args.gammas, args.sensitivities, args.theta)
     out = _resolve_out(args.out)
-    _write_sweep(out, axes, solved, args.theta, metadata={"config_hash": config_hash})
-    _emit_json({"rows": len(solved[0]), "out": out, "config_hash": config_hash}, None)
+    _write_sweep(out, axes, solved, args.theta, metadata={"config_hash": config_hash()})
+    _emit_json({"rows": len(solved[0]), "out": out, "config_hash": config_hash()}, None)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from dataclasses import asdict
 
     from .gridsim import Detector, detection_rate, load_topology, run_query
@@ -154,20 +150,19 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: str) -> int:
     if args.tau is not None:
         detector = Detector(tau=args.tau, window=args.window)
     trace = run_query(topology, series_map, args.kind, detector, seed=args.seed)
-    payload = trace.summary()
-    payload["config_hash"] = config_hash
+    payload = {**trace.summary(), "config_hash": config_hash()}
     if args.n_runs is not None:
         rates = detection_rate(topology, series_map, args.kind, detector, args.n_runs, args.seed)
         payload["detection"] = asdict(rates)
     if args.trace_out:
         trace_path = _resolve_out(args.trace_out)
-        trace.to_csv(trace_path, metadata={"config_hash": config_hash})
+        trace.to_csv(trace_path, metadata={"config_hash": config_hash()})
         payload["trace_out"] = trace_path
     _emit_json(payload, args.out)
     return 0
 
 
-def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_qos(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from dataclasses import asdict
 
     from .adversary import AttackProfile
@@ -189,11 +184,11 @@ def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
     fdi_variant = inject_attack(dp_variant, profile, (start, end), seed=args.seed)
     cfg = ForecastConfig(horizon=args.horizon, season_length=args.season_length)
     report = cost_analysis(original, dp_variant, fdi_variant, cfg, epsilon=args.epsilon)
-    payload = {**asdict(report), "config_hash": config_hash}
+    payload = {**asdict(report), "config_hash": config_hash()}
     if args.export_series:
         directory = _resolve_out(args.export_series)
         os.makedirs(directory, exist_ok=True)
-        meta = {"config_hash": config_hash}
+        meta = {"config_hash": config_hash()}
         for name, variant in (
             ("original", original), ("dp", dp_variant), ("fdi_dp", fdi_variant)
         ):
@@ -203,7 +198,7 @@ def _cmd_qos(args: argparse.Namespace, config_hash: str) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_bench(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from .adversary import AttackProfile
     from .bench import run_bench
     from .laplace import PrivacyParams
@@ -219,13 +214,11 @@ def _cmd_bench(args: argparse.Namespace, config_hash: str) -> int:
         args.gamma, PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon)
     )
     result = run_bench(batch, reps=args.reps, seed=args.seed, attacker=attacker)
-    payload = result.to_dict()
-    payload["config_hash"] = config_hash
-    _emit_json(payload, args.out)
+    _emit_json({**result.to_dict(), "config_hash": config_hash()}, args.out)
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace, config_hash: str) -> int:
+def _cmd_synth(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from .series import export_csv, synth_pmu
 
     series = synth_pmu(
@@ -236,8 +229,8 @@ def _cmd_synth(args: argparse.Namespace, config_hash: str) -> int:
         start=args.start,
     )
     out = _resolve_out(args.out)
-    export_csv(series, out, metadata={"config_hash": config_hash})
-    _emit_json({"rows": len(series), "out": out, "config_hash": config_hash}, None)
+    export_csv(series, out, metadata={"config_hash": config_hash()})
+    _emit_json({"rows": len(series), "out": out, "config_hash": config_hash()}, None)
     return 0
 
 
@@ -328,8 +321,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _config_hash(args))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow ends the run
+            # Hashed when first asked, so simulate checks its --series ids before reading files.
+            return args.func(args, functools.cache(lambda: _config_hash(args)))
+    except (ValueError, OSError, KeyError, RuntimeWarning) as exc:
         print(json.dumps({"error": str(exc), "command": args.command}), file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
 from itertools import chain, cycle, repeat
 from typing import Mapping
@@ -25,7 +25,7 @@ import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
 from .adversary import SweepPoint, impact_sweep, sweep_to_csv  # re-exported
-from .csvio import quote, write_csv
+from .csvio import quote, write_csv, write_json
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
 from .series import MeasurementSeries, resample
@@ -241,12 +241,7 @@ class SimTrace:
         }
 
     def to_json(self, path, metadata: dict | None = None) -> None:
-        payload = self.summary()
-        if metadata:
-            payload["metadata"] = dict(metadata)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.summary(), metadata)
 
 
 def _work_buffers(shape: tuple, w: int) -> tuple:
@@ -436,10 +431,6 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
 
 
-def _params_to_dict(params: PrivacyParams) -> dict:
-    return {"sensitivity": params.sensitivity, "epsilon": params.epsilon, "theta": params.theta}
-
-
 def _expect(value, kind: type, field: str):
     if not isinstance(value, kind):
         expected = "object" if kind is dict else "list"
@@ -460,13 +451,20 @@ def _number(value, field: str) -> float:
         raise ValueError(f"{field} must be a number, got {value!r}") from None
 
 
+def _at(field: str, make, *args):
+    """make(*args), a ValueError prefixed by the JSON path of the field the arguments came from."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def _params_from_dict(data: dict, field: str) -> PrivacyParams:
     _expect(data, dict, field)
-    return PrivacyParams(
-        sensitivity=_number(_required(data, "sensitivity", field), f"{field}.sensitivity"),
-        epsilon=_number(_required(data, "epsilon", field), f"{field}.epsilon"),
-        theta=_number(data.get("theta", 0.0), f"{field}.theta"),
-    )
+    return _at(field, PrivacyParams,
+               _number(_required(data, "sensitivity", field), f"{field}.sensitivity"),
+               _number(_required(data, "epsilon", field), f"{field}.epsilon"),
+               _number(data.get("theta", 0.0), f"{field}.theta"))
 
 
 def topology_to_dict(topology: GridTopology) -> dict:
@@ -474,18 +472,13 @@ def topology_to_dict(topology: GridTopology) -> dict:
     for e in topology.edges:
         entry: dict = {"child": e.child, "parent": e.parent}
         if e.attacker is not None:
-            entry["attacker"] = {
-                "gamma": e.attacker.gamma,
-                **_params_to_dict(e.attacker.base),
-            }
+            entry["attacker"] = {"gamma": e.attacker.gamma, **asdict(e.attacker.base)}
             entry["attack_window"] = list(e.attack_window) if e.attack_window else None
         edges.append(entry)
     return {
         "nodes": [{"id": n.id, "layer": n.layer.name} for n in topology.nodes],
         "edges": edges,
-        "dp_policy": {
-            layer.name: _params_to_dict(params) for layer, params in topology.dp_policy.items()
-        },
+        "dp_policy": {layer.name: asdict(params) for layer, params in topology.dp_policy.items()},
     }
 
 
@@ -514,11 +507,10 @@ def topology_from_dict(data: dict) -> GridTopology:
         attacker = None
         window = None
         if e.get("attacker") is not None:
-            spec = _expect(e["attacker"], dict, f"{where}.attacker")
-            attacker = AttackProfile.solve(
-                _number(_required(spec, "gamma", f"{where}.attacker"), f"{where}.attacker.gamma"),
-                _params_from_dict(spec, f"{where}.attacker"),
-            )
+            path = f"{where}.attacker"
+            spec = _expect(e["attacker"], dict, path)
+            gamma = _number(_required(spec, "gamma", path), f"{path}.gamma")
+            attacker = _at(path, AttackProfile.solve, gamma, _params_from_dict(spec, path))
             if e.get("attack_window") is not None:
                 field = f"{where}.attack_window"
                 bounds = _expect(e["attack_window"], list, field)
@@ -526,9 +518,8 @@ def topology_from_dict(data: dict) -> GridTopology:
                 whole = [not isinstance(t, bool) and w.is_integer() for t, w in zip(bounds, window)]
                 if len(window) != 2 or not all(whole):
                     raise ValueError(f"{field} must be [start, end] of whole timesteps, got {bounds!r}")
-        edges.append(Edge(child=str(_required(e, "child", where)),
-                          parent=str(_required(e, "parent", where)),
-                          attacker=attacker, attack_window=window))
+        edges.append(_at(where, Edge, str(_required(e, "child", where)),
+                         str(_required(e, "parent", where)), attacker, window))
     policy = {
         parse_layer(name): _params_from_dict(params, f"topology.dp_policy.{name}")
         for name, params in _expect(data.get("dp_policy", {}), dict, "topology.dp_policy").items()
@@ -542,6 +533,4 @@ def load_topology(path) -> GridTopology:
 
 
 def save_topology(topology: GridTopology, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(topology_to_dict(topology), fh, indent=2)
-        fh.write("\n")
+    write_json(path, topology_to_dict(topology))

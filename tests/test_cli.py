@@ -24,8 +24,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def parse_json(text):
-    return json.loads(text)
+    """Strict JSON: NaN, Infinity and -Infinity are refused."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------- calibrate
@@ -301,6 +306,15 @@ def test_validation_error_exits_2_with_json(capsys):
     assert payload["error"]
 
 
+def test_unwritable_out_exits_2_and_prints_nothing(capsys, tmp_path):
+    code, out, err = run_cli(capsys, [
+        "calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "50",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2 and out == ""
+    assert parse_json(err)["command"] == "calibrate"
+
+
 # Beyond DesignSpec's gamma bounds the root solves cannot hold the round trip.
 @pytest.mark.parametrize("gamma", ["1e11", "1e-60"], ids=["above-max", "below-min"])
 def test_calibrate_beyond_gamma_bound_exits_2_with_json(capsys, gamma):
@@ -366,6 +380,22 @@ def test_unresolvable_stealth_budget_exits_2_with_json(capsys, tmp_path, argv, n
     assert not out_file.exists()
 
 
+# A calibrated epsilon below the smallest normal float: sensitivity / epsilon no longer gives
+# the scale back, whether or not the attacker's round trip still lands within tolerance.
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--sensitivity", "1e-308", "--gamma", "1e-20", "--max-deviation", "1"],
+    ["calibrate", "--sensitivity", "1e-308", "--gamma", "1", "--max-deviation", "1000"],
+], ids=["round-trip-drifts", "round-trip-holds"])
+def test_subnormal_epsilon_exits_2_with_json(capsys, tmp_path, argv):
+    out_file = tmp_path / "design.json"
+    code, out, err = run_cli(capsys, [*argv, "--out", str(out_file)])
+    assert code == 2 and out == ""
+    payload = parse_json(err)
+    assert payload["command"] == "calibrate"
+    assert "is below the smallest normal float" in payload["error"]
+    assert not out_file.exists()
+
+
 _CHAIN_NODES = [{"id": "pmu1", "layer": "PMU"}, {"id": "pdc1", "layer": "PDC"},
                 {"id": "m", "layer": "MASTER"}]
 _BAD_WINDOW_EDGES = [
@@ -388,6 +418,17 @@ _BOOL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [True, 20]}, _GO
 _HUGE_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [0, 10**400]}, _GOOD_EDGES[1]]
 _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
 _CHAIN = {"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}
+_REVERSED_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [5, 2]}, _GOOD_EDGES[1]]
+_HUGE_GAMMA_EDGES = [
+    {"child": "pmu1", "parent": "pdc1",
+     "attacker": {"gamma": 1e13, "sensitivity": 2.0, "epsilon": 0.5}},
+    _GOOD_EDGES[1],
+]
+_TWO_PMUS = {
+    "nodes": [{"id": "pmu1", "layer": "PMU"}, {"id": "pmu2", "layer": "PMU"}, *_CHAIN_NODES[1:]],
+    "edges": [{"child": "pmu1", "parent": "pdc1"}, {"child": "pmu2", "parent": "pdc1"},
+              _GOOD_EDGES[1]],
+}
 
 
 def _series_file(text):
@@ -404,6 +445,20 @@ def _stray_series(tmp_path):
     path = tmp_path / "stray.csv"
     path.write_text("not a measurement file\n")
     return ["--series", f"pdc1={path}", "--series", f"typo={path}"]
+
+
+def _overflowing_sum(tmp_path):
+    """Both PMUs read 24 hours of 1e308, whose sums overflow; the trace would go to trace.csv."""
+    path = tmp_path / "huge.csv"
+    path.write_text("timestamp,value\n" + "".join(
+        f"2018-01-01T{hour:02d}:00:00,1e308\n" for hour in range(24)))
+    return ["--series", f"pmu1={path}", "--series", f"pmu2={path}", "--kind", "sum",
+            "--trace-out", str(tmp_path / "trace.csv")]
+
+
+def _stray_missing_series(tmp_path):
+    """A stray node whose file does not exist: the id is checked before any file is read."""
+    return ["--series", f"typo={tmp_path / 'missing.csv'}"]
 
 
 def _stamped_series(stamp):
@@ -445,24 +500,49 @@ def _stamped_series(stamp):
     ({**_CHAIN, "dp_policy": {"PMU": {"sensitivity": 1e308, "epsilon": 1e-10}}}, [],
      "not finite"),
     (_CHAIN, _stray_series, "--series names node(s) that are not PMUs of the topology: pdc1, typo"),
+    (_TWO_PMUS, _overflowing_sum, "overflow"),
+    ({**_CHAIN, "dp_policy": {"PMU": {"sensitivity": -1, "epsilon": 1}}}, [],
+     "topology.dp_policy.PMU: sensitivity must be finite and non-negative, got -1.0"),
+    ({"nodes": _CHAIN_NODES, "edges": _HUGE_GAMMA_EDGES}, [],
+     "topology.edges[0].attacker: stealth budget 10000000000000.0 too large to resolve"),
+    ({"nodes": _CHAIN_NODES, "edges": _REVERSED_WINDOW_EDGES}, [],
+     "topology.edges[0]: bad attack window (5.0, 2.0)"),
+    (_CHAIN, _stray_missing_series,
+     "--series names node(s) that are not PMUs of the topology: typo"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
         "huge-window", "unknown-kind", "non-utc-stamp", "now-stamp", "today-stamp",
         "year-beyond-datetime64", "oversized-field", "policy-scale-overflow",
-        "series-not-a-pmu"])
+        "series-not-a-pmu", "non-finite-sum", "policy-negative-sensitivity",
+        "attacker-huge-gamma", "reversed-window", "stray-series-missing-file"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))
     if callable(extra):
         extra = extra(tmp_path)
-    code, _, err = run_cli(capsys, [
+    code, out, err = run_cli(capsys, [
         "simulate", "--topology", str(path), "--synth-days", "2", *extra,
     ])
-    assert code == 2
+    assert code == 2 and out == ""
     payload = parse_json(err)
     assert payload["command"] == "simulate"
     assert needle in payload["error"]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_numpy_overflow_exits_2_without_the_test_suites_warning_filter(tmp_path):
+    """The command itself makes numpy's RuntimeWarnings errors, not only pytest's filterwarnings."""
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps(_TWO_PMUS))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpgrid.cli", "simulate", "--topology", str(topology),
+         *_overflowing_sum(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "overflow" in parse_json(proc.stderr)["error"]
+    assert not (tmp_path / "trace.csv").exists()
 
 
 _YEARS_NEEDLE = "start must be a date in datetime64[us]'s years, got {!r}"

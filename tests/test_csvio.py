@@ -1,12 +1,15 @@
-"""The column writer against csv.writer's rows, byte for byte."""
+"""The column writer against csv.writer's rows, and the JSON writer against json.dumps, byte for
+byte."""
 
 import csv
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgrid.csvio import quote, write_csv
+from dpgrid.csvio import json_text, quote, write_csv, write_json
 from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, run_query
 from dpgrid.laplace import PrivacyParams
 from dpgrid.series import synth_pmu
@@ -75,3 +78,28 @@ def test_trace_quotes_node_ids_as_csv_writer_does(tmp_path):
     assert rows[0] == list(header)
     assert [tuple(r[2:4]) for r in rows[1:]] == [(pdc, "m"), (pmu, pdc)] * 24
     assert np.array_equal([float(r[8]) for r in rows[2::2]], trace.delivered[(pmu, pdc)])
+
+
+_PAYLOAD = {"epsilon": 0.1, "k1": 2.0000000000000004, "ids": ["pmu,1", 'pdc"1', "ä €", {}],
+            "nested": {"none": None, "flag": True, "tiny": 5e-324, "huge": -1.7976931348623157e308}}
+
+
+@pytest.mark.parametrize("metadata", [None, {}, {"config_hash": "beef", "seed": 3}],
+                         ids=["none", "empty", "two-keys"])
+def test_write_json_is_indented_json_dumps_plus_newline(tmp_path, metadata):
+    expected = dict(_PAYLOAD, metadata=metadata) if metadata else _PAYLOAD
+    write_json(tmp_path / "doc.json", _PAYLOAD, metadata)
+    text = json.dumps(expected, indent=2) + "\n"
+    assert (tmp_path / "doc.json").read_bytes() == text.encode()
+    assert json_text(_PAYLOAD, metadata) == text
+    assert "metadata" not in _PAYLOAD
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["payload", "metadata"])
+def test_write_json_refuses_non_finite_floats_and_writes_no_file(tmp_path, value, where):
+    payload, metadata = ({"x": [1.0, value]}, None) if where == "payload" else ({}, {"x": value})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "doc.json", payload, metadata)
+    assert not (tmp_path / "doc.json").exists()
