@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import chain, cycle, product, repeat, zip_longest
+from itertools import product, zip_longest
 from operator import attrgetter
 
 from .csvio import write_csv
@@ -240,14 +240,9 @@ def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
 def _write_sweep(path, axes, solved, theta: float, metadata: dict | None = None) -> None:
     """sweep_to_csv's bytes for _sweep_grid's result, with no SweepPoint.
 
-    Each axis value is repr'd once and repeated in product order (each epsilon |gamma| * |S|
-    times, the gamma block of each gamma |S| times cycled, S cycled, theta throughout); only
-    k1, mu_star and deviation are formatted per cell.
+    Each axis value and theta is repr'd once; a cell's epsilon, gamma, sensitivity and theta
+    fields are their product, in _sweep_grid's order.  Only k1, mu_star and deviation are
+    formatted per cell.
     """
-    epsilons, gammas, sensitivities = axes
-    per_gamma = len(sensitivities)
-    columns = [chain.from_iterable(repeat(repr(e), len(gammas) * per_gamma) for e in epsilons),
-               cycle([repr(g) for g in gammas for _ in range(per_gamma)]),
-               cycle([repr(s) for s in sensitivities]), repeat(repr(theta)),
-               *(map(repr, column) for column in solved)]
-    write_csv(path, _SWEEP_HEADER, columns, metadata)
+    cells = product(*(map(repr, axis) for axis in (*axes, [theta])))
+    write_csv(path, _SWEEP_HEADER, [map(",".join, cells), *(map(repr, c) for c in solved)], metadata)

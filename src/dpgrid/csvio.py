@@ -16,6 +16,7 @@ def write_csv(path, header, columns, metadata: dict | None = None) -> None:
     """Write '# key=value' lines ending in '\\n', then header and rows ending in '\\r\\n'.
 
     columns are iterables of field text (floats by repr, free text through quote), read in lockstep.
+    A column may carry adjacent fields already joined by ','.
     """
     with open(path, "w", newline="") as fh:
         for key, value in (metadata or {}).items():

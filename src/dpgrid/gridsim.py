@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
-from itertools import chain, cycle, repeat
+from itertools import chain, product
 from typing import Mapping
 
 import numpy as np
@@ -206,16 +206,13 @@ class SimTrace:
         """
         keys = self.edge_keys
 
-        def per_timestep(texts):
-            return chain.from_iterable(map(repeat, texts, repeat(len(keys))))
-
         def per_edge(arrays: dict, text=float.__repr__):
             return chain.from_iterable(zip(*(map(text, arrays[k]) for k in keys)))
 
+        stamps = np.datetime_as_string(self.timestamps, unit="s").tolist()
         write_csv(path, _TRACE_HEADER, (
-            per_timestep(map(str, range(self.n_timesteps))),
-            per_timestep(np.datetime_as_string(self.timestamps, unit="s").tolist()),
-            cycle([quote(c) for c, _ in keys]), cycle([quote(p) for _, p in keys]),
+            map(",".join, product(map("{},{}".format, range(self.n_timesteps), stamps),
+                                  [f"{quote(c)},{quote(p)}" for c, p in keys])),
             *map(per_edge, (self.true_values, self.dp_noise, self.injected, self.noise_total,
                             self.delivered)),
             per_edge(self.flags, lambda flag: "1" if flag else "0"),
@@ -227,9 +224,9 @@ class SimTrace:
             flags = self.flags[key]
             edges["->".join(key)] = {
                 "flags": int(flags.sum()),
-                "mean_true": float(self.true_values[key].mean()),
-                "mean_delivered": float(self.delivered[key].mean()),
-                "mean_noise_total": float(self.noise_total[key].mean()),
+                "mean_true": _mean(self.true_values[key]),
+                "mean_delivered": _mean(self.delivered[key]),
+                "mean_noise_total": _mean(self.noise_total[key]),
                 "attacked": bool(np.any(self.injected[key] != 0.0)),
             }
         return {
@@ -242,6 +239,14 @@ class SimTrace:
 
     def to_json(self, path, metadata: dict | None = None) -> None:
         write_json(path, self.summary(), metadata)
+
+
+def _mean(values: np.ndarray) -> float:
+    """np.mean, and where its sum overflows, the mean of the values scaled by 2**-ceil(log2 n)
+    and scaled back: np.mean's rounding without the exponent limit."""
+    with np.errstate(over="ignore"):
+        mean, scale = values.mean(), 2.0 ** math.ceil(math.log2(len(values)))
+        return float(mean if np.isfinite(mean) else (values / scale).mean() * scale)
 
 
 def _work_buffers(shape: tuple, w: int) -> tuple:

@@ -307,20 +307,17 @@ def resample(series: MeasurementSeries, period: str, how: str = "mean") -> Measu
     unit = "datetime64[h]" if period == "hour" else "datetime64[D]"
     floors = series.timestamps.astype(unit)
     grid = np.arange(floors[0], floors[-1] + 1)
-    idx = (floors - grid[0]).astype(np.int64)
-    sums = np.zeros(len(grid))
-    counts = np.zeros(len(grid), dtype=np.int64)
-    np.add.at(sums, idx[series.mask], series.values[series.mask])
-    np.add.at(counts, idx[series.mask], 1)
+    idx = (floors - grid[0]).astype(np.int64)[series.mask]
+    # bincount adds each bucket's readings left to right from 0.0, and never warns.
+    sums = np.bincount(idx, weights=series.values[series.mask], minlength=len(grid))
+    if not np.isfinite(sums).all():
+        bucket = grid[~np.isfinite(sums)][0]
+        raise ValueError(f"the sum of the readings in the {period} from {bucket} overflows")
+    counts = np.bincount(idx, minlength=len(grid))
     present = counts > 0
-    out = np.full(len(grid), np.nan)
-    if how == "mean":
-        out[present] = sums[present] / counts[present]
-    else:
-        out[present] = sums[present]
     return MeasurementSeries(
         timestamps=grid.astype("datetime64[us]"),
-        values=out,
+        values=np.where(present, sums / np.maximum(counts, 1) if how == "mean" else sums, np.nan),
         mask=present,
         channel=series.channel,
     )

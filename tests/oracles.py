@@ -4,9 +4,9 @@ These deliberately avoid the package's own closed forms so tests can
 cross-check implementations against independent numerics.  The CSV
 reader and writers at the end are the row-by-row ingest the column-wise
 series.ingest_csv replaced and the csv.writer rows the column-wise
-csvio.write_csv replaced, kept as their references; the detector's flags
-per block come last, from before gridsim scored a whole stacked pass in
-reused buffers.
+csvio.write_csv replaced, kept as their references, with a per-bucket loop
+for series.resample between them; the detector's flags per block come
+last, from before gridsim scored a whole stacked pass in reused buffers.
 """
 
 from __future__ import annotations
@@ -189,6 +189,24 @@ def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:
         mask=np.array(mask),
         channel=channel,
     )
+
+
+def resample_by_bucket(series: MeasurementSeries, period: str, how: str) -> tuple:
+    """Each hour's or day's present readings added with + from 0.0, left to right in time order,
+    and counted; a bucket's mean is sum / count.  Returns the values, NaN where a bucket is
+    empty, and the mask of non-empty buckets."""
+    unit = "datetime64[h]" if period == "hour" else "datetime64[D]"
+    buckets = series.timestamps.astype(unit).astype(np.int64).tolist()  # since the epoch
+    first, n = buckets[0], buckets[-1] - buckets[0] + 1
+    sums, counts = [0.0] * n, [0] * n
+    for bucket, value, present in zip(buckets, series.values.tolist(), series.mask.tolist()):
+        if present:
+            i = bucket - first
+            sums[i] = sums[i] + value
+            counts[i] += 1
+    values = [math.nan if count == 0 else total / count if how == "mean" else total
+              for total, count in zip(sums, counts)]
+    return np.array(values), np.array([count > 0 for count in counts])
 
 
 def write_csv_by_rows(path, header, rows, metadata: dict | None = None) -> None:

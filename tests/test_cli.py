@@ -466,6 +466,14 @@ def _stamped_series(stamp):
     return _series_file(f"timestamp,value\n2018-01-01T00:00:00,1.0\n{stamp},2.0\n")
 
 
+def _overflowing_bucket(tmp_path):
+    """pmu1 reads 1e308 four times in one hour, whose sum overflows in resample."""
+    path = tmp_path / "quarter.csv"
+    path.write_text("timestamp,value\n" + "".join(
+        f"2018-01-01T00:{minute:02d}:00,1e308\n" for minute in (0, 15, 30, 45)))
+    return ["--series", f"pmu1={path}", "--kind", "sum", "--trace-out", str(tmp_path / "trace.csv")]
+
+
 @pytest.mark.parametrize("topology, extra, needle", [
     ([1, 2], [], "topology"),
     ({"nodes": 5}, [], "nodes"),
@@ -509,13 +517,15 @@ def _stamped_series(stamp):
      "topology.edges[0]: bad attack window (5.0, 2.0)"),
     (_CHAIN, _stray_missing_series,
      "--series names node(s) that are not PMUs of the topology: typo"),
+    (_CHAIN, _overflowing_bucket, "overflow"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
         "huge-window", "unknown-kind", "non-utc-stamp", "now-stamp", "today-stamp",
         "year-beyond-datetime64", "oversized-field", "policy-scale-overflow",
         "series-not-a-pmu", "non-finite-sum", "policy-negative-sensitivity",
-        "attacker-huge-gamma", "reversed-window", "stray-series-missing-file"])
+        "attacker-huge-gamma", "reversed-window", "stray-series-missing-file",
+        "resample-overflow"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))
@@ -543,6 +553,23 @@ def test_numpy_overflow_exits_2_without_the_test_suites_warning_filter(tmp_path)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "overflow" in parse_json(proc.stderr)["error"]
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_simulate_summarises_readings_whose_sum_overflows(capsys, tmp_path):
+    """Each mean is 1e308, though the 24 hourly readings it averages sum past the largest float."""
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(_CHAIN))
+    series = tmp_path / "huge.csv"
+    series.write_text("timestamp,value\n" + "".join(
+        f"2018-01-01T{hour:02d}:00:00,1e308\n" for hour in range(24)))
+    code, out, err = run_cli(capsys, ["simulate", "--topology", str(path),
+                                      "--series", f"pmu1={series}"])
+    assert code == 0, err
+    payload = parse_json(out)
+    assert payload["n_timesteps"] == 24
+    summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
+               "attacked": False}
+    assert payload["edges"] == {"pdc1->m": summary, "pmu1->pdc1": summary}
 
 
 _YEARS_NEEDLE = "start must be a date in datetime64[us]'s years, got {!r}"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dpgrid.csvio import json_text, quote, write_csv, write_json
 from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, run_query
 from dpgrid.laplace import PrivacyParams
-from dpgrid.series import synth_pmu
+from dpgrid.series import MeasurementSeries, synth_pmu
 from oracles import trace_rows, write_csv_by_rows
 
 _FLOATS = st.one_of(
@@ -78,6 +78,47 @@ def test_trace_quotes_node_ids_as_csv_writer_does(tmp_path):
     assert rows[0] == list(header)
     assert [tuple(r[2:4]) for r in rows[1:]] == [(pdc, "m"), (pmu, pdc)] * 24
     assert np.array_equal([float(r[8]) for r in rows[2::2]], trace.delivered[(pmu, pdc)])
+
+
+_TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value", "dp_noise", "injected",
+                 "noise_total", "delivered", "flag")
+
+
+@st.composite
+def small_run(draw):
+    """A tree of 1-4 PMUs under 0-2 PDCs, each PDC with a child, and with or without one PMU
+    straight to the MASTER (always, with no PDC: a single edge); ids hold , " and line breaks.
+    Each PMU reads 1-48 hours."""
+    n_pdcs = draw(st.integers(0, 2))
+    direct = n_pdcs == 0 or draw(st.booleans())
+    n_pmus = draw(st.integers(n_pdcs + direct, 4 if n_pdcs else 1))
+    ids = draw(st.lists(st.text(',"\r\nab', min_size=1, max_size=3), min_size=n_pmus + n_pdcs + 1,
+                        max_size=n_pmus + n_pdcs + 1, unique=True))
+    master, pdcs, pmus = ids[0], ids[1:n_pdcs + 1], ids[n_pdcs + 1:]
+    parents = [master] * direct + pdcs
+    parents += draw(st.lists(st.sampled_from(pdcs or [master]), min_size=n_pmus - len(parents),
+                             max_size=n_pmus - len(parents)))
+    topology = GridTopology(
+        nodes=(Node(master, Layer.MASTER), *(Node(p, Layer.PDC) for p in pdcs),
+               *(Node(p, Layer.PMU) for p in pmus)),
+        edges=(*(Edge(p, master) for p in pdcs), *map(Edge, pmus, parents)),
+        dp_policy={Layer.PMU: PrivacyParams(sensitivity=2.0, epsilon=0.5)},
+    )
+    hours = draw(st.integers(1, 48))
+    series = {p: synth_pmu(days=2, seed=i) for i, p in enumerate(pmus)}
+    series = {p: MeasurementSeries(s.timestamps[:hours], s.values[:hours], s.mask[:hours])
+              for p, s in series.items()}
+    return run_query(topology, series, "hourly_mean", Detector(tau=3.0, window=4),
+                     seed=draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, max_examples=60)
+@given(trace=small_run())
+def test_trace_matches_row_writer(trace, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trace")
+    trace.to_csv(tmp / "trace.csv", metadata={"config_hash": "beef"})
+    write_csv_by_rows(tmp / "rows.csv", _TRACE_HEADER, trace_rows(trace), {"config_hash": "beef"})
+    assert (tmp / "trace.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
 
 
 _PAYLOAD = {"epsilon": 0.1, "k1": 2.0000000000000004, "ids": ["pmu,1", 'pdc"1', "ä €", {}],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ingest_csv_by_rows
+from oracles import ingest_csv_by_rows, resample_by_bucket
 
 from dpgrid import series
 from dpgrid.series import (
@@ -425,6 +425,40 @@ def test_resample_daily():
     daily = resample(s, "day")
     assert len(daily) == 4
     assert daily.values[0] == pytest.approx(s.values[:24].mean(), rel=1e-12)
+
+
+@st.composite
+def sparse_series(draw):
+    """Up to 40 readings, seconds to days apart, of magnitude 1e-300 to 1e300 and either sign
+    (no bucket sum overflows), each present or missing: all missing included."""
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.one_of(st.integers(1, 1200), st.integers(1, 3 * 86400)),
+                         min_size=n - 1, max_size=n - 1))
+    offsets = np.cumsum([0, *gaps]).astype("timedelta64[s]")
+    magnitudes = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    values = np.where(mask, np.multiply(magnitudes, signs), np.nan)
+    return MeasurementSeries(np.datetime64("2020-01-01T00:00:00", "us") + offsets, values, mask)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(s=sparse_series(), period=st.sampled_from(["hour", "day"]),
+       how=st.sampled_from(["mean", "sum"]))
+def test_resample_adds_each_bucket_in_time_order(s, period, how):
+    """The bucket sums are a left-to-right + from 0.0, bit for bit, not just close."""
+    values, mask = resample_by_bucket(s, period, how)
+    out = resample(s, period, how=how)
+    assert out.values.tobytes() == values.tobytes()
+    assert np.array_equal(out.mask, mask)
+
+
+@pytest.mark.parametrize("period", ["hour", "day"])
+def test_resample_refuses_a_bucket_sum_that_overflows(period):
+    ts = np.datetime64("2020-01-01T00:00", "us") + np.arange(4).astype("timedelta64[m]") * 15
+    s = MeasurementSeries(ts, np.full(4, 1e308), np.ones(4, dtype=bool))
+    with pytest.raises(ValueError, match="the sum of the readings in the .* overflows"):
+        resample(s, period, how="mean")
 
 
 def test_resample_rejects_unknown_period():
