@@ -18,8 +18,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
-from itertools import chain, product
-from typing import Mapping
+from itertools import chain, product, repeat, tee
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -201,21 +201,41 @@ class SimTrace:
     def to_csv(self, path, metadata: dict | None = None) -> None:
         """One row per (timestep, edge): timesteps in order, edges in edge_keys order.
 
-        The columns interleave lazily, so no row exists before it is written.  Floats
-        are written by repr, flags as 0 or 1, and node ids through csvio.quote.
+        The columns interleave lazily, so no row exists before it is written.  Flags are
+        written as 0 or 1 and node ids through csvio.quote.  Each edge's float column takes
+        its texts, all of them repr's, from one of three sources, chosen by the bits of the
+        whole column: "0.0" repeated where every value is +0.0; for a delivered column with
+        true_value's bits, true_value's own texts, shared through itertools.tee; and repr of
+        each value otherwise.
         """
         keys = self.edge_keys
 
-        def per_edge(arrays: dict, text=float.__repr__):
-            return chain.from_iterable(zip(*(map(text, arrays[k]) for k in keys)))
+        def texts(values: np.ndarray) -> Iterator[str]:
+            return map(float.__repr__, values) if values.view(np.int64).any() else \
+                repeat("0.0", len(values))
+
+        true, delivered = [], []
+        for k in keys:
+            column = texts(self.true_values[k])
+            if np.array_equal(self.delivered[k].view(np.int64), self.true_values[k].view(np.int64)):
+                column, copy = tee(column)
+            else:
+                copy = texts(self.delivered[k])
+            true.append(column)
+            delivered.append(copy)
+
+        def per_edge(columns: list) -> Iterator[str]:
+            return chain.from_iterable(zip(*columns))
 
         stamps = np.datetime_as_string(self.timestamps, unit="s").tolist()
         write_csv(path, _TRACE_HEADER, (
             map(",".join, product(map("{},{}".format, range(self.n_timesteps), stamps),
                                   [f"{quote(c)},{quote(p)}" for c, p in keys])),
-            *map(per_edge, (self.true_values, self.dp_noise, self.injected, self.noise_total,
-                            self.delivered)),
-            per_edge(self.flags, lambda flag: "1" if flag else "0"),
+            per_edge(true),
+            *(per_edge([texts(arrays[k]) for k in keys])
+              for arrays in (self.dp_noise, self.injected, self.noise_total)),
+            per_edge(delivered),
+            per_edge([map(lambda flag: "1" if flag else "0", self.flags[k]) for k in keys]),
         ), metadata)
 
     def summary(self) -> dict:
@@ -224,9 +244,9 @@ class SimTrace:
             flags = self.flags[key]
             edges["->".join(key)] = {
                 "flags": int(flags.sum()),
-                "mean_true": _mean(self.true_values[key]),
-                "mean_delivered": _mean(self.delivered[key]),
-                "mean_noise_total": _mean(self.noise_total[key]),
+                "mean_true": float(_mean(self.true_values[key])),
+                "mean_delivered": float(_mean(self.delivered[key])),
+                "mean_noise_total": float(_mean(self.noise_total[key])),
                 "attacked": bool(np.any(self.injected[key] != 0.0)),
             }
         return {
@@ -241,12 +261,17 @@ class SimTrace:
         write_json(path, self.summary(), metadata)
 
 
-def _mean(values: np.ndarray) -> float:
+def _mean(values: np.ndarray, axis: int | None = None):
     """np.mean, and where its sum overflows, the mean of the values scaled by 2**-ceil(log2 n)
     and scaled back: np.mean's rounding without the exponent limit."""
+    n = values.size if axis is None else values.shape[axis]
     with np.errstate(over="ignore"):
-        mean, scale = values.mean(), 2.0 ** math.ceil(math.log2(len(values)))
-        return float(mean if np.isfinite(mean) else (values / scale).mean() * scale)
+        mean = values.mean(axis)
+        over = ~np.isfinite(mean)
+        if over.any():
+            scale = 2.0 ** math.ceil(math.log2(n))
+            mean = np.where(over, (values / scale).mean(axis) * scale, mean)
+    return mean
 
 
 def _work_buffers(shape: tuple, w: int) -> tuple:
@@ -304,7 +329,12 @@ class _Query:
         self.children = [children_of.get(e.child, []) for e in self.edges]
         self.true = np.empty((len(self.edges), 1, len(self.timestamps)))
         for i, (e, kids) in enumerate(zip(self.edges, self.children)):
-            self.true[i] = self._combine(self.true[kids]) if kids else hourly[e.child].values
+            self.true[i] = self._combine_true(self.true[kids]) if kids else hourly[e.child].values
+
+    def _combine_true(self, values: np.ndarray) -> np.ndarray:
+        """_combine over the children's true values, where a mean whose sum overflows takes
+        _mean's fallback; walk keeps the plain _combine, which is detect's hot loop."""
+        return _mean(values, axis=0) if self.how == "mean" else self._combine(values)
 
     def _combine(self, values: np.ndarray) -> np.ndarray:
         total = np.sum(values, axis=0)

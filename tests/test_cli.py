@@ -447,11 +447,17 @@ def _stray_series(tmp_path):
     return ["--series", f"pdc1={path}", "--series", f"typo={path}"]
 
 
-def _overflowing_sum(tmp_path):
-    """Both PMUs read 24 hours of 1e308, whose sums overflow; the trace would go to trace.csv."""
+def _huge_hours(tmp_path):
+    """A series file of 24 hourly readings of 1e308, whose sum overflows."""
     path = tmp_path / "huge.csv"
     path.write_text("timestamp,value\n" + "".join(
         f"2018-01-01T{hour:02d}:00:00,1e308\n" for hour in range(24)))
+    return path
+
+
+def _overflowing_sum(tmp_path):
+    """Both PMUs read 24 hours of 1e308, whose sums overflow; the trace would go to trace.csv."""
+    path = _huge_hours(tmp_path)
     return ["--series", f"pmu1={path}", "--series", f"pmu2={path}", "--kind", "sum",
             "--trace-out", str(tmp_path / "trace.csv")]
 
@@ -559,17 +565,29 @@ def test_simulate_summarises_readings_whose_sum_overflows(capsys, tmp_path):
     """Each mean is 1e308, though the 24 hourly readings it averages sum past the largest float."""
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(_CHAIN))
-    series = tmp_path / "huge.csv"
-    series.write_text("timestamp,value\n" + "".join(
-        f"2018-01-01T{hour:02d}:00:00,1e308\n" for hour in range(24)))
     code, out, err = run_cli(capsys, ["simulate", "--topology", str(path),
-                                      "--series", f"pmu1={series}"])
+                                      "--series", f"pmu1={_huge_hours(tmp_path)}"])
     assert code == 0, err
     payload = parse_json(out)
     assert payload["n_timesteps"] == 24
     summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
                "attacked": False}
     assert payload["edges"] == {"pdc1->m": summary, "pmu1->pdc1": summary}
+
+
+def test_simulate_averages_children_whose_sum_overflows(capsys, tmp_path):
+    """The PDC's true value is the mean of two PMUs that each read 1e308, though their sum is not a
+    float; under --kind sum the same input exits 2 (non-finite-sum)."""
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(_TWO_PMUS))
+    series = _huge_hours(tmp_path)
+    code, out, err = run_cli(capsys, ["simulate", "--topology", str(path),
+                                      "--series", f"pmu1={series}", "--series", f"pmu2={series}"])
+    assert code == 0, err
+    edges = parse_json(out)["edges"]
+    summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
+               "attacked": False}
+    assert edges == {"pdc1->m": summary, "pmu1->pdc1": summary, "pmu2->pdc1": summary}
 
 
 _YEARS_NEEDLE = "start must be a date in datetime64[us]'s years, got {!r}"

@@ -3,6 +3,7 @@ byte."""
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgrid.csvio import json_text, quote, write_csv, write_json
-from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, run_query
+from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, SimTrace, run_query
 from dpgrid.laplace import PrivacyParams
 from dpgrid.series import MeasurementSeries, synth_pmu
 from oracles import trace_rows, write_csv_by_rows
@@ -119,6 +120,76 @@ def test_trace_matches_row_writer(trace, tmp_path_factory):
     trace.to_csv(tmp / "trace.csv", metadata={"config_hash": "beef"})
     write_csv_by_rows(tmp / "rows.csv", _TRACE_HEADER, trace_rows(trace), {"config_hash": "beef"})
     assert (tmp / "trace.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+
+_COLUMN_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                                  -5e-324, 0.1, -2.5, 1e308])
+
+
+def _direct_trace(edge_keys, hours, columns, flags):
+    """A SimTrace built field by field: columns maps each float field to its per-edge arrays."""
+    stamps = np.datetime64("2018-01-01T00", "h") + np.arange(hours)
+    return SimTrace(timestamps=stamps, kind="sum", seed=0, edge_keys=edge_keys, flags=flags,
+                    plaintext_attack_edges=(), **columns)
+
+
+@st.composite
+def edge_case_trace(draw):
+    """1-4 edges over 0-6 hours.  Each float column is all +0.0, all -0.0 or drawn from
+    _COLUMN_FLOATS; each delivered column has true_value's bits, equals it under == with the
+    sign of every zero flipped, or is drawn like the others."""
+    hours = draw(st.integers(0, 6))
+    keys = tuple((f"pmu{i}", "m") for i in range(draw(st.integers(1, 4))))
+
+    def column():
+        fill = draw(st.sampled_from([0.0, -0.0, None]))
+        if fill is not None:
+            return np.full(hours, fill)
+        return np.array(draw(st.lists(_COLUMN_FLOATS, min_size=hours, max_size=hours)), dtype=float)
+
+    columns = {name: {k: column() for k in keys}
+               for name in ("true_values", "dp_noise", "injected", "noise_total")}
+    columns["delivered"] = {}
+    for k in keys:
+        true = columns["true_values"][k]
+        columns["delivered"][k] = draw(st.sampled_from([
+            lambda: true.copy(),
+            lambda: np.where(true == 0.0, np.copysign(0.0, -np.copysign(1.0, true)), true),
+            column,
+        ]))()
+    flags = {k: np.array(draw(st.lists(st.booleans(), min_size=hours, max_size=hours)), dtype=bool)
+             for k in keys}
+    return _direct_trace(keys, hours, columns, flags)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(trace=edge_case_trace())
+def test_trace_texts_follow_bits_not_equality(trace, tmp_path_factory):
+    """A column of -0.0, or a delivered column == true_value but with other zeros, keeps its own
+    text; all +0.0 columns and copies of true_value's bits are written as repr writes them."""
+    tmp = tmp_path_factory.mktemp("edge")
+    trace.to_csv(tmp / "trace.csv")
+    write_csv_by_rows(tmp / "rows.csv", _TRACE_HEADER, trace_rows(trace))
+    assert (tmp / "trace.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+
+def test_trace_writer_holds_no_column_of_texts(tmp_path):
+    """105 edges x 720 hours of distinct values, every delivered column a copy of true_value's
+    bits: the writer's peak stays near one row, where a column of texts held per edge costs
+    about 25 MB."""
+    rng = np.random.default_rng(0)
+    keys = tuple((f"pmu{i}", "m") for i in range(105))
+    columns = {name: {k: rng.standard_normal(720) for k in keys}
+               for name in ("true_values", "dp_noise", "injected", "noise_total")}
+    columns["delivered"] = {k: columns["true_values"][k].copy() for k in keys}
+    trace = _direct_trace(keys, 720, columns, {k: np.zeros(720, dtype=bool) for k in keys})
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"to_csv peaked at {peak / 2**20:.2f} MiB"
 
 
 _PAYLOAD = {"epsilon": 0.1, "k1": 2.0000000000000004, "ids": ["pmu,1", 'pdc"1', "ä €", {}],
