@@ -329,16 +329,10 @@ class _Query:
         self.children = [children_of.get(e.child, []) for e in self.edges]
         self.true = np.empty((len(self.edges), 1, len(self.timestamps)))
         for i, (e, kids) in enumerate(zip(self.edges, self.children)):
-            self.true[i] = self._combine_true(self.true[kids]) if kids else hourly[e.child].values
-
-    def _combine_true(self, values: np.ndarray) -> np.ndarray:
-        """_combine over the children's true values, where a mean whose sum overflows takes
-        _mean's fallback; walk keeps the plain _combine, which is detect's hot loop."""
-        return _mean(values, axis=0) if self.how == "mean" else self._combine(values)
+            self.true[i] = self._combine(self.true[kids]) if kids else hourly[e.child].values
 
     def _combine(self, values: np.ndarray) -> np.ndarray:
-        total = np.sum(values, axis=0)
-        return total / len(values) if self.how == "mean" else total
+        return _mean(values, axis=0) if self.how == "mean" else np.sum(values, axis=0)
 
     def streams(self, seed: int) -> tuple[list, list]:
         """The call's generators: (index, scale, generator) per noisy node and
