@@ -167,15 +167,11 @@ class GridTopology:
         simulate but worth surfacing, since no stealth constraint is
         meaningful without noise to hide in.
         """
-        attacked = self.attacked_edges()
-        if not attacked:
-            return []
         layer = {n.id: n.layer for n in self.nodes}
-        # Layers at or below each node; in child-layer order a child is complete before it folds.
-        below = {n.id: {n.layer} for n in self.nodes}
-        for e in sorted(self.edges, key=lambda e: layer[e.child]):
-            below[e.parent] |= below[e.child]
-        return [e.key for e in attacked if below[e.child].isdisjoint(self.dp_policy)]
+        # Every aggregating node has children, each in a strictly lower layer, and the MASTER is
+        # nobody's child: so the layers at or below a child are exactly the layers up to its own.
+        return [e.key for e in self.attacked_edges()
+                if all(p > layer[e.child] for p in self.dp_policy)]
 
 
 @dataclass
@@ -202,11 +198,11 @@ class SimTrace:
         """One row per (timestep, edge): timesteps in order, edges in edge_keys order.
 
         The columns interleave lazily, so no row exists before it is written.  Flags are
-        written as 0 or 1 and node ids through csvio.quote.  Each edge's float column takes
-        its texts, all of them repr's, from one of three sources, chosen by the bits of the
-        whole column: "0.0" repeated where every value is +0.0; for a delivered column with
-        true_value's bits, true_value's own texts, shared through itertools.tee; and repr of
-        each value otherwise.
+        written as 0 or 1 from the bytes of each column as bools, and node ids through
+        csvio.quote.  Each edge's float column takes its texts, all of them repr's, from one
+        of three sources, chosen by the bits of the whole column: "0.0" repeated where every
+        value is +0.0; for a delivered column with true_value's bits, true_value's own texts,
+        shared through itertools.tee; and repr of each value otherwise.
         """
         keys = self.edge_keys
 
@@ -235,7 +231,8 @@ class SimTrace:
             *(per_edge([texts(arrays[k]) for k in keys])
               for arrays in (self.dp_noise, self.injected, self.noise_total)),
             per_edge(delivered),
-            per_edge([map(lambda flag: "1" if flag else "0", self.flags[k]) for k in keys]),
+            per_edge([map("01".__getitem__, self.flags[k].astype(bool, copy=False).tobytes())
+                      for k in keys]),
         ), metadata)
 
     def summary(self) -> dict:
@@ -300,17 +297,17 @@ def _deviations(block: np.ndarray, w: int, mean, csum, dev) -> np.ndarray:
 
 
 class _Query:
-    """One query's inputs, prepared once: hourly grid, walk order and each edge's true value,
-    one (1, hours) row per edge of an (edges, 1, hours) array that broadcasts over runs."""
+    """One query's inputs and random streams, prepared once: hourly grid, walk order and each
+    edge's true value, a (1, hours) row of an (edges, 1, hours) array that broadcasts over runs."""
 
-    def __init__(self, topology: GridTopology, series_map: Mapping, kind: str) -> None:
+    def __init__(self, topology: GridTopology, series_map: Mapping, kind: str, seed: int) -> None:
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
         pmus = topology.pmu_ids()
         missing = [p for p in pmus if p not in series_map]
         if missing:
             raise ValueError(f"missing measurement series for PMU(s): {', '.join(missing)}")
-        self.policy, self.how = topology.dp_policy, _AGGREGATION[kind]
+        self.how = _AGGREGATION[kind]
         hourly = {p: resample(series_map[p], "hour", how=self.how) for p in pmus}
         self.timestamps = hourly[pmus[0]].timestamps
         for p in pmus:
@@ -320,8 +317,8 @@ class _Query:
             if gaps:
                 raise ValueError(f"PMU {p} has {gaps} empty hours after resampling")
         # Edge i leaves node i, nodes by layer and id; the MASTER sends nothing, so it is left out.
-        self.layer = {nd.id: nd.layer for nd in topology.nodes}
-        self.edges = sorted(topology.edges, key=lambda e: (self.layer[e.child], e.child))
+        layer = {nd.id: nd.layer for nd in topology.nodes}
+        self.edges = sorted(topology.edges, key=lambda e: (layer[e.child], e.child))
         # Children in id order: below the MASTER every child is a PMU, and PMUs sort by id.
         children_of: dict[str, list] = {}
         for i, e in enumerate(self.edges):
@@ -330,31 +327,27 @@ class _Query:
         self.true = np.empty((len(self.edges), 1, len(self.timestamps)))
         for i, (e, kids) in enumerate(zip(self.edges, self.children)):
             self.true[i] = self._combine(self.true[kids]) if kids else hourly[e.child].values
+        # (index, scale, generator) per noisy node, and (index, attacker, start, end, generator)
+        # per attacked edge whose window meets the run; the MASTER sends nothing, so has no stream.
+        n, policy = len(self.timestamps), topology.dp_policy
+        self.noisy = [(i, policy[layer[e.child]].scale, derive_rng(seed, "node", e.child))
+                      for i, e in enumerate(self.edges) if layer[e.child] in policy]
+        self.attacks = [(i, e.attacker, start, min(n, end), derive_rng(seed, "edge", *e.key))
+                        for i, e in enumerate(self.edges) if e.attacker is not None
+                        for start, end in [e.attack_window or (0, n)] if min(n, end) > start]
 
     def _combine(self, values: np.ndarray) -> np.ndarray:
         return _mean(values, axis=0) if self.how == "mean" else np.sum(values, axis=0)
 
-    def streams(self, seed: int) -> tuple[list, list]:
-        """The call's generators: (index, scale, generator) per noisy node and
-        (index, attacker, start, end, generator) per attacked edge whose window meets the run."""
-        n = len(self.timestamps)
-        nodes = [(i, self.policy[self.layer[e.child]].scale, derive_rng(seed, "node", e.child))
-                 for i, e in enumerate(self.edges) if self.layer[e.child] in self.policy]
-        edges = [(i, e.attacker, start, min(n, end), derive_rng(seed, "edge", *e.key))
-                 for i, e in enumerate(self.edges) if e.attacker is not None
-                 for start, end in [e.attack_window or (0, n)] if min(n, end) > start]
-        return nodes, edges
-
-    def draws(self, streams: tuple, rows: int) -> tuple[np.ndarray, dict]:
+    def draws(self, rows: int) -> tuple[np.ndarray, dict]:
         """The next `rows` runs of every stream: each node's privacy draws in one (edges, rows,
-        hours) array (zeros outside the policy) and, by edge index, each streamed edge's injections
+        hours) array (zeros outside the policy) and, by edge index, each attacked edge's injections
         (zero outside its window).  A run's row depends only on its stream and its index."""
-        nodes, edges = streams
         own = np.zeros((len(self.edges), rows, len(self.timestamps)))
-        for i, scale, gen in nodes:
+        for i, scale, gen in self.noisy:
             own[i] = laplace_from_uniform(gen.random(own.shape[1:]), scale)
         injected = {}
-        for i, attacker, start, end, gen in edges:
+        for i, attacker, start, end, gen in self.attacks:
             injected[i] = block = np.zeros(own.shape[1:])
             for row in block:
                 row[start:end] = sample_attack_noise(attacker, gen, size=end - start)
@@ -380,8 +373,8 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
     compromised edge gets its own independent stream, so adding or
     reordering siblings never perturbs existing draws.
     """
-    query = _Query(topology, series_map, kind)
-    own, injected = query.draws(query.streams(seed), 1)
+    query = _Query(topology, series_map, kind, seed)
+    own, injected = query.draws(1)
     totals = query.walk(own, injected, np.empty_like(own))
     delivered = query.true + totals
     # One (1, hours) row per edge; the detector's warm-up steps are never flagged.
@@ -424,16 +417,15 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     """
     if n_runs < 1000:
         raise ValueError(f"n_runs must be at least 1000, got {n_runs}")
-    query = _Query(topology, series_map, kind)
+    query = _Query(topology, series_map, kind, seed)
     n = len(query.timestamps)
     w = detector.window
     if n <= w:
         raise ValueError(f"series too short for detector warm-up: {n} steps, window {w}")
 
-    streams = query.streams(seed)
     # True positives are scored on attacked edges, over the part of their window past warm-up.
     scored = [(i, max(w, start), end)
-              for i, _, start, end, _ in streams[1] if end > max(w, start)]
+              for i, _, start, end, _ in query.attacks if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
     # The stack a pass is walked into, one (runs, hours) layer per edge, and the detector's
     # buffers: allocated once, so no chunk allocates anything of the stack's size.
@@ -442,7 +434,7 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     tp = fp = 0
     for first in range(0, n_runs, rows):
         r = min(rows, n_runs - first)
-        own, injected = query.draws(streams, r)
+        own, injected = query.draws(r)
         clean = query.walk(own, {}, stack[:, :r])
         clean += query.true
         fp += int(np.count_nonzero(
@@ -474,10 +466,13 @@ def _required(data: dict, key: str, where: str):
 
 
 def _number(value, field: str) -> float:
+    """float(value), refusing JSON's true and false, which float would read as 1.0 and 0.0."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} must be a number, got {value!r}") from None
+        pass
+    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _at(field: str, make, *args):
@@ -544,8 +539,7 @@ def topology_from_dict(data: dict) -> GridTopology:
                 field = f"{where}.attack_window"
                 bounds = _expect(e["attack_window"], list, field)
                 window = tuple(_number(t, field) for t in bounds)
-                whole = [not isinstance(t, bool) and w.is_integer() for t, w in zip(bounds, window)]
-                if len(window) != 2 or not all(whole):
+                if len(window) != 2 or not all(w.is_integer() for w in window):
                     raise ValueError(f"{field} must be [start, end] of whole timesteps, got {bounds!r}")
         edges.append(_at(where, Edge, str(_required(e, "child", where)),
                          str(_required(e, "parent", where)), attacker, window))

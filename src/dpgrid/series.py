@@ -296,7 +296,9 @@ def resample(series: MeasurementSeries, period: str, how: str = "mean") -> Measu
     """Aggregate onto a continuous hourly or daily grid.
 
     Buckets with no present readings come back masked; the grid spans
-    the full observed range so gaps stay visible.
+    the full observed range so gaps stay visible.  A bucket whose sum
+    overflows is refused under how="sum" and averaged at a smaller
+    scale under how="mean".
     """
     if period not in ("hour", "day"):
         raise ValueError(f"period must be 'hour' or 'day', got {period!r}")
@@ -308,16 +310,24 @@ def resample(series: MeasurementSeries, period: str, how: str = "mean") -> Measu
     floors = series.timestamps.astype(unit)
     grid = np.arange(floors[0], floors[-1] + 1)
     idx = (floors - grid[0]).astype(np.int64)[series.mask]
+    values = series.values[series.mask]
     # bincount adds each bucket's readings left to right from 0.0, and never warns.
-    sums = np.bincount(idx, weights=series.values[series.mask], minlength=len(grid))
-    if not np.isfinite(sums).all():
-        bucket = grid[~np.isfinite(sums)][0]
-        raise ValueError(f"the sum of the readings in the {period} from {bucket} overflows")
+    sums = np.bincount(idx, weights=values, minlength=len(grid))
     counts = np.bincount(idx, minlength=len(grid))
+    over = ~np.isfinite(sums)
+    if how == "sum" and over.any():
+        raise ValueError(f"the sum of the readings in the {period} from {grid[over][0]} overflows")
+    out = sums / np.maximum(counts, 1) if how == "mean" else sums
+    if over.any():
+        # A mean whose sum overflows takes gridsim._mean's rule: the bucket's readings scaled by
+        # 2**-ceil(log2 n), averaged and scaled back, so a representable mean is kept.
+        scale = np.exp2(np.ceil(np.log2(np.maximum(counts, 1))))
+        scaled = np.bincount(idx, weights=values / scale[idx], minlength=len(grid))
+        out[over] = scaled[over] / counts[over] * scale[over]
     present = counts > 0
     return MeasurementSeries(
         timestamps=grid.astype("datetime64[us]"),
-        values=np.where(present, sums / np.maximum(counts, 1) if how == "mean" else sums, np.nan),
+        values=np.where(present, out, np.nan),
         mask=present,
         channel=series.channel,
     )
@@ -354,6 +364,8 @@ def synth_pmu(
         raise ValueError(f"days must be positive, got {days}")
     if not 0.0 <= missing_fraction < 1.0:
         raise ValueError(f"missing_fraction must be in [0, 1), got {missing_fraction}")
+    if not math.isfinite(noise_level):
+        raise ValueError(f"noise_level must be finite, got {noise_level}")
     if noise_level < 0.0:
         raise ValueError(f"noise_level must be non-negative, got {noise_level}")
     if not _in_years(start):

@@ -6,7 +6,9 @@ reader and writers at the end are the row-by-row ingest the column-wise
 series.ingest_csv replaced and the csv.writer rows the column-wise
 csvio.write_csv replaced, kept as their references, with a per-bucket loop
 for series.resample between them; the detector's flags per block come
-last, from before gridsim scored a whole stacked pass in reused buffers.
+next, from before gridsim scored a whole stacked pass in reused buffers,
+and last the per-node fold GridTopology.plaintext_attack_edges replaced
+by a rule on layers.
 """
 
 from __future__ import annotations
@@ -246,3 +248,14 @@ def rolling_flags_by_row(delivered: np.ndarray, detector) -> np.ndarray:
         return flags
     flags[:, w:] = rolling_deviation_by_row(delivered, w) > detector.tau
     return flags
+
+
+def plaintext_edges_by_fold(topology) -> list:
+    """Attacked edges with no policy layer at or below their child, the layers below each node
+    folded up the tree edge by edge: in child-layer order a child is complete before it folds."""
+    layer = {n.id: n.layer for n in topology.nodes}
+    below = {n.id: {n.layer} for n in topology.nodes}
+    for e in sorted(topology.edges, key=lambda e: layer[e.child]):
+        below[e.parent] |= below[e.child]
+    return [e.key for e in topology.attacked_edges()
+            if below[e.child].isdisjoint(topology.dp_policy)]

@@ -147,6 +147,37 @@ def test_synth_round_trips_through_ingest(capsys, tmp_path):
     assert f"config_hash={payload['config_hash']}" in out_file.read_text()
 
 
+def _synth_series(capsys, out_file, *flags):
+    code, out, err = run_cli(capsys, ["synth", "--days", "3", "--out", str(out_file), *flags])
+    assert code == 0, err
+    series = ingest_csv(out_file)
+    return parse_json(out)["config_hash"], series.values.tobytes(), series.mask.tobytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--noise-level", "0.2"), ("--missing-fraction", "0.3")])
+def test_synth_flag_changes_output_and_config_hash(capsys, tmp_path, flag, value):
+    base = _synth_series(capsys, tmp_path / "base.csv")
+    changed = _synth_series(capsys, tmp_path / "changed.csv", flag, value)
+    assert changed[0] != base[0]
+    assert changed[1:] != base[1:]
+
+
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--noise-level", "nan", "noise_level must be finite, got nan"),
+    ("--noise-level", "inf", "noise_level must be finite, got inf"),
+    ("--noise-level", "-1", "noise_level must be non-negative, got -1.0"),
+    ("--missing-fraction", "1", "missing_fraction must be in [0, 1), got 1.0"),
+], ids=["nan-noise", "inf-noise", "negative-noise", "all-missing"])
+def test_synth_bad_flag_exits_2_with_json(capsys, tmp_path, flag, value, needle):
+    out_file = tmp_path / "pmu.csv"
+    code, out, err = run_cli(capsys, ["synth", "--days", "1", flag, value, "--out", str(out_file)])
+    assert code == 2 and out == ""
+    payload = parse_json(err)
+    assert payload["command"] == "synth"
+    assert needle in payload["error"]
+    assert not out_file.exists()
+
+
 # ----------------------------------------------------------------- simulate
 
 @pytest.fixture
@@ -270,6 +301,39 @@ def test_qos_smoke(capsys, tmp_path):
     assert payload["epsilon"] == 0.5
     for name in ("original", "dp", "fdi_dp"):
         assert (export_dir / f"{name}.csv").exists()
+
+
+_QOS = ["qos", "--epsilon", "0.5", "--gamma", "0.5", "--sensitivity", "2.0", "--days", "120"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--attack-start", "10"), ("--attack-end", "60"), ("--horizon", "7"),
+    ("--season-length", "14"),
+])
+def test_qos_flag_changes_output_and_config_hash(capsys, flag, value):
+    # At --days 120 the default attack window is days [42, 72).
+    base = parse_json(run_cli(capsys, _QOS)[1])
+    code, out, err = run_cli(capsys, [*_QOS, flag, value])
+    assert code == 0, err
+    changed = parse_json(out)
+    assert changed.pop("config_hash") != base.pop("config_hash")
+    assert changed != base
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--attack-start", "50", "--attack-end", "40"], "attack window outside series"),
+    (["--attack-start", "100", "--attack-end", "200"], "attack window outside series"),
+    (["--horizon", "0"], "horizon must be at least 1, got 0"),
+    (["--season-length", "0"], "season_length must be at least 1, got 0"),
+], ids=["reversed-window", "window-past-series", "zero-horizon", "zero-season-length"])
+def test_qos_bad_flag_exits_2_with_json(capsys, tmp_path, flags, needle):
+    out_file = tmp_path / "qos.json"
+    code, out, err = run_cli(capsys, [*_QOS, *flags, "--out", str(out_file)])
+    assert code == 2 and out == ""
+    payload = parse_json(err)
+    assert payload["command"] == "qos"
+    assert needle in payload["error"]
+    assert not out_file.exists()
 
 
 # -------------------------------------------------------------------- bench
@@ -415,6 +479,11 @@ _TINY_SCALE_EDGES = [
 ]
 _FRACTIONAL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [10.5, 20.5]}, _GOOD_EDGES[1]]
 _BOOL_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [True, 20]}, _GOOD_EDGES[1]]
+_BOOL_GAMMA_EDGES = [
+    {"child": "pmu1", "parent": "pdc1",
+     "attacker": {"gamma": True, "sensitivity": 2.0, "epsilon": 0.5}},
+    _GOOD_EDGES[1],
+]
 _HUGE_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [0, 10**400]}, _GOOD_EDGES[1]]
 _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
 _CHAIN = {"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}
@@ -472,12 +541,18 @@ def _stamped_series(stamp):
     return _series_file(f"timestamp,value\n2018-01-01T00:00:00,1.0\n{stamp},2.0\n")
 
 
-def _overflowing_bucket(tmp_path):
-    """pmu1 reads 1e308 four times in one hour, whose sum overflows in resample."""
+def _huge_quarter_hours(tmp_path):
+    """A series file of four quarter-hour readings of 1e308 in one hour, whose sum overflows."""
     path = tmp_path / "quarter.csv"
     path.write_text("timestamp,value\n" + "".join(
         f"2018-01-01T00:{minute:02d}:00,1e308\n" for minute in (0, 15, 30, 45)))
-    return ["--series", f"pmu1={path}", "--kind", "sum", "--trace-out", str(tmp_path / "trace.csv")]
+    return path
+
+
+def _overflowing_bucket(tmp_path):
+    """pmu1's hour sums past the largest float in resample under --kind sum."""
+    return ["--series", f"pmu1={_huge_quarter_hours(tmp_path)}", "--kind", "sum",
+            "--trace-out", str(tmp_path / "trace.csv")]
 
 
 @pytest.mark.parametrize("topology, extra, needle", [
@@ -500,7 +575,7 @@ def _overflowing_bucket(tmp_path):
     ({"nodes": _CHAIN_NODES, "edges": _FRACTIONAL_WINDOW_EDGES}, [],
      "topology.edges[0].attack_window must be [start, end] of whole timesteps"),
     ({"nodes": _CHAIN_NODES, "edges": _BOOL_WINDOW_EDGES}, [],
-     "topology.edges[0].attack_window must be [start, end] of whole timesteps"),
+     "topology.edges[0].attack_window must be a number"),
     ({"nodes": _CHAIN_NODES, "edges": _HUGE_WINDOW_EDGES}, [],
      "topology.edges[0].attack_window must be a number"),
     (_CHAIN, ["--kind", "bogus"], "expected one of ('hourly_mean', 'sum')"),
@@ -524,6 +599,10 @@ def _overflowing_bucket(tmp_path):
     (_CHAIN, _stray_missing_series,
      "--series names node(s) that are not PMUs of the topology: typo"),
     (_CHAIN, _overflowing_bucket, "overflow"),
+    ({**_CHAIN, "dp_policy": {"PMU": {"sensitivity": True, "epsilon": 0.5}}}, [],
+     "topology.dp_policy.PMU.sensitivity must be a number, got True"),
+    ({"nodes": _CHAIN_NODES, "edges": _BOOL_GAMMA_EDGES}, [],
+     "topology.edges[0].attacker.gamma must be a number, got True"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
@@ -531,7 +610,7 @@ def _overflowing_bucket(tmp_path):
         "year-beyond-datetime64", "oversized-field", "policy-scale-overflow",
         "series-not-a-pmu", "non-finite-sum", "policy-negative-sensitivity",
         "attacker-huge-gamma", "reversed-window", "stray-series-missing-file",
-        "resample-overflow"])
+        "resample-overflow", "boolean-sensitivity", "boolean-gamma"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))
@@ -588,6 +667,21 @@ def test_simulate_averages_children_whose_sum_overflows(capsys, tmp_path):
     summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
                "attacked": False}
     assert edges == {"pdc1->m": summary, "pmu1->pdc1": summary, "pmu2->pdc1": summary}
+
+
+def test_simulate_resamples_an_hour_whose_sum_overflows(capsys, tmp_path):
+    """Under hourly_mean pmu1's hour of four readings of 1e308 averages to 1e308, though their sum
+    is not a float; under --kind sum the same file exits 2 (resample-overflow)."""
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(_CHAIN))
+    code, out, err = run_cli(capsys, ["simulate", "--topology", str(path),
+                                      "--series", f"pmu1={_huge_quarter_hours(tmp_path)}"])
+    assert code == 0, err
+    payload = parse_json(out)
+    assert payload["n_timesteps"] == 1
+    summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
+               "attacked": False}
+    assert payload["edges"] == {"pdc1->m": summary, "pmu1->pdc1": summary}
 
 
 _YEARS_NEEDLE = "start must be a date in datetime64[us]'s years, got {!r}"

@@ -29,7 +29,7 @@ from dpgrid.gridsim import (
 from dpgrid.laplace import PrivacyParams, laplace_from_uniform
 from dpgrid.seeds import derive_rng
 from dpgrid.series import MeasurementSeries, synth_pmu
-from oracles import rolling_deviation_by_row, rolling_flags_by_row
+from oracles import plaintext_edges_by_fold, rolling_deviation_by_row, rolling_flags_by_row
 from test_golden import DETECTION_SHA256, _attacked_tree, _sha256_json
 
 FLAT = np.full(24, 30.0)
@@ -247,6 +247,38 @@ def test_plaintext_attack_surfaced_in_metadata():
     assert protected.plaintext_attack_edges() == []
     trace = run_query(bare, {"pmu1": flat_series(2)}, "hourly_mean", None, seed=0)
     assert trace.plaintext_attack_edges == (("pmu1", "pdc1"),)
+
+
+def test_pdc_policy_leaves_plaintext_only_below_the_pdc():
+    params = PrivacyParams(2.0, 1.0)
+    attacker = AttackProfile.solve(2.0, params)
+    edges = tuple(Edge(c, p, attacker=None if c == "pmu2" else attacker) for c, p in TWO_LAYER)
+    topo = GridTopology(two_pmu_topology().nodes, edges, {Layer.PDC: params})
+    assert topo.plaintext_attack_edges() == [("pmu1", "pdc1")]
+    assert plaintext_edges_by_fold(topo) == [("pmu1", "pdc1")]
+
+
+@st.composite
+def attacked_trees(draw):
+    """A valid tree of up to 3 PDCs and 6 PMUs, some PMUs wired straight to the MASTER, edges in
+    any order, a policy over any subset of layers and an attacker on any subset of edges."""
+    pdcs = [f"pdc{j}" for j in range(draw(st.integers(0, 3)))]
+    pmus = [f"pmu{i}" for i in range(draw(st.integers(max(1, len(pdcs)), 6)))]
+    # The first PMUs give every PDC a child; the rest go to any PDC or the MASTER.
+    parents = pdcs + [draw(st.sampled_from(pdcs + ["master"])) for _ in pmus[len(pdcs):]]
+    wiring = [*zip(pmus, parents), *((pdc, "master") for pdc in pdcs)]
+    attacker = AttackProfile.solve(2.0, PrivacyParams(2.0, 0.5))
+    edges = [Edge(c, p, attacker=attacker if draw(st.booleans()) else None) for c, p in wiring]
+    nodes = [Node(i, Layer.PMU) for i in pmus] + [Node(j, Layer.PDC) for j in pdcs]
+    policy = {layer: PrivacyParams(2.0, 1.0) for layer in draw(st.sets(st.sampled_from(Layer)))}
+    return GridTopology((*nodes, Node("master", Layer.MASTER)),
+                        tuple(draw(st.permutations(edges))), policy)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(topo=attacked_trees())
+def test_plaintext_rule_equals_the_fold_over_layers_below(topo):
+    assert topo.plaintext_attack_edges() == plaintext_edges_by_fold(topo)
 
 
 def test_paired_injection_shift_matches_closed_form():
@@ -514,13 +546,13 @@ def test_draws_are_rows_of_one_whole_call_draw():
     # noisy nodes and for attack windows clipped to the run; run_query(seed) is run 0.
     windows = {("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (40, 10_000)}
     topo, series = windowed_topology(windows)
-    query = gridsim._Query(topo, series, "sum")
+    query = gridsim._Query(topo, series, "sum", 11)
     keys = [e.key for e in query.edges]  # blocks are indexed by edge, edge i leaving node i
-    own, injected = query.draws(query.streams(11), 10)
+    own, injected = query.draws(10)
     assert {keys[i] for i in injected} == set(windows)
     assert np.all(injected[keys.index(("pdc1", "master"))][:, 40:] != 0.0)
-    streams = query.streams(11)
-    blocks = [query.draws(streams, rows) for rows in (1, 3, 6)]
+    again = gridsim._Query(topo, series, "sum", 11)
+    blocks = [again.draws(rows) for rows in (1, 3, 6)]
     for whole, part in ((dict(enumerate(own)), 0), (injected, 1)):
         for i, block in whole.items():
             assert np.array_equal(np.concatenate([b[part][i] for b in blocks]), block)
@@ -571,9 +603,9 @@ def chunked_detection_rate(monkeypatch, rows, topology, series, *args):
     sizes = []
     draws = gridsim._Query.draws
 
-    def spy(self, streams, rows):
+    def spy(self, rows):
         sizes.append(rows)
-        return draws(self, streams, rows)
+        return draws(self, rows)
 
     monkeypatch.setattr(gridsim._Query, "draws", spy)
     return detection_rate(topology, series, *args), sizes

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 import sys
 from datetime import datetime, timedelta
@@ -453,12 +454,32 @@ def test_resample_adds_each_bucket_in_time_order(s, period, how):
     assert np.array_equal(out.mask, mask)
 
 
+def _four_quarter_hours(value):
+    ts = np.datetime64("2020-01-01T00:00", "us") + np.arange(4).astype("timedelta64[m]") * 15
+    return MeasurementSeries(ts, np.full(4, value), np.ones(4, dtype=bool))
+
+
 @pytest.mark.parametrize("period", ["hour", "day"])
 def test_resample_refuses_a_bucket_sum_that_overflows(period):
-    ts = np.datetime64("2020-01-01T00:00", "us") + np.arange(4).astype("timedelta64[m]") * 15
-    s = MeasurementSeries(ts, np.full(4, 1e308), np.ones(4, dtype=bool))
     with pytest.raises(ValueError, match="the sum of the readings in the .* overflows"):
-        resample(s, period, how="mean")
+        resample(_four_quarter_hours(1e308), period, how="sum")
+
+
+@pytest.mark.parametrize("period", ["hour", "day"])
+def test_resample_averages_a_bucket_whose_sum_overflows(period):
+    """The mean of four readings of 1e308 is 1e308, though their sum is not a float."""
+    out = resample(_four_quarter_hours(1e308), period, how="mean")
+    assert out.values.tobytes() == np.array([1e308]).tobytes()
+    assert out.mask.tolist() == [True]
+
+
+def test_resample_scales_only_the_buckets_whose_sum_overflows():
+    # Hour 0 overflows and is averaged at 2**-2; hour 1 keeps sum / count, bit for bit.
+    ts = np.datetime64("2020-01-01T00:00", "us") + np.arange(7).astype("timedelta64[m]") * 15
+    values = np.array([1e308, 1.7e308, 1.5e308, 1e308, 0.1, 0.2, 5e-324])
+    out = resample(MeasurementSeries(ts, values, np.ones(7, dtype=bool)), "hour", how="mean")
+    hour0 = (1e308 / 4 + 1.7e308 / 4 + 1.5e308 / 4 + 1e308 / 4) / 4 * 4
+    assert out.values.tobytes() == np.array([hour0, (0.1 + 0.2 + 5e-324) / 3]).tobytes()
 
 
 def test_resample_rejects_unknown_period():
@@ -509,8 +530,11 @@ def test_synth_validation():
         synth_pmu(days=0)
     with pytest.raises(ValueError):
         synth_pmu(days=1, missing_fraction=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="noise_level must be non-negative"):
         synth_pmu(days=1, noise_level=-0.1)
+    for level in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_level must be finite"):
+            synth_pmu(days=1, noise_level=level)
     with pytest.raises(ValueError):
         synth_pmu(days=1, profile=np.ones(12))
 
