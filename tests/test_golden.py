@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from dpgrid.adversary import AttackProfile
+from dpgrid.adversary import AttackProfile, _sweep_grid, _write_sweep
 from dpgrid.cli import main
 from dpgrid.gridsim import (
     Detector,
@@ -33,6 +33,7 @@ QOS_SHA256 = "0396031fb99bb4757fc973633961b9bd4ac97728990d320bcc6ac6ab87db0134"
 SYNTH_CSV_SHA256 = "63d1c57584aa9f2f9ed24ac9c1b744f4ed2411d78ba604a2c1ec6389a80968a0"
 TRACE_CSV_SHA256 = "a6af11e7106837f602070dd17604715bade40ee9e021787d17c2875301b11bdb"
 SWEEP_CSV_SHA256 = "988596fba47ee62b5581b942739d6af9b06715e0984c38f193e7836fe0ad3cee"
+SWEEP_ZERO_THETA_CSV_SHA256 = "5bf578ab00e14e5e74a6070f050f2bd0bdccfc45b47a8e3d5848a64a7253db8f"
 MISSING_CSV_SHA256 = "6560c0ab08c4b2dc63df51983ffcda181033b4c97d986b56e8df6478e946420d"
 _META = {"config_hash": "beef"}
 
@@ -118,6 +119,13 @@ def test_sweep_csv_digest(tmp_path):
     sweep_to_csv(impact_sweep([0.1, 0.5], [0.5, 2.0], [1.0, 2.0], theta=33.18), path,
                  metadata=_META)
     assert _sha256_file(path) == SWEEP_CSV_SHA256
+
+
+def test_sweep_writer_digest_at_default_theta(tmp_path):
+    """The sweep command's writer at the CLI's default theta, where deviation has mu_star's bits."""
+    path = tmp_path / "sweep.csv"
+    _write_sweep(path, *_sweep_grid([0.1, 0.5], [0.5, 2.0], [1.0, 2.0], 0.0), 0.0, metadata=_META)
+    assert _sha256_file(path) == SWEEP_ZERO_THETA_CSV_SHA256
 
 
 def test_missing_readings_csv_digest(tmp_path):
