@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field, fields
-from itertools import product, zip_longest
+from itertools import product, tee, zip_longest
 from operator import attrgetter
 
 from .csvio import write_csv
@@ -241,8 +242,17 @@ def _write_sweep(path, axes, solved, theta: float, metadata: dict | None = None)
     """sweep_to_csv's bytes for _sweep_grid's result, with no SweepPoint.
 
     Each axis value and theta is repr'd once; a cell's epsilon, gamma, sensitivity and theta
-    fields are their product, in _sweep_grid's order.  Only k1, mu_star and deviation are
-    formatted per cell.
+    fields are their product, in _sweep_grid's order.  k1 and mu_star are formatted per cell.
+    Where the deviation column has mu_star's bits, compared as whole columns and never by ==
+    (theta is +-0.0, or too small to move any cell), it shares mu_star's texts through tee;
+    write_csv reads the columns in lockstep, so the tee holds at most a block of texts.
     """
+    k1s, mus, devs = solved
     cells = product(*(map(repr, axis) for axis in (*axes, [theta])))
-    write_csv(path, _SWEEP_HEADER, [map(",".join, cells), *(map(repr, c) for c in solved)], metadata)
+    mu_texts = map(repr, mus)
+    if array("d", devs).tobytes() == array("d", mus).tobytes():
+        mu_texts, dev_texts = tee(mu_texts)
+    else:
+        dev_texts = map(repr, devs)
+    write_csv(path, _SWEEP_HEADER, [map(",".join, cells), map(repr, k1s), mu_texts, dev_texts],
+              metadata)

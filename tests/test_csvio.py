@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpgrid import adversary
+from dpgrid.adversary import _sweep_grid, _write_sweep, impact_sweep, sweep_to_csv
 from dpgrid.csvio import json_text, quote, write_csv, write_json
 from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, SimTrace, run_query
 from dpgrid.laplace import PrivacyParams
@@ -190,6 +192,48 @@ def test_trace_writer_holds_no_column_of_texts(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"to_csv peaked at {peak / 2**20:.2f} MiB"
+
+
+_SWEEP_AXES = ([0.1, 0.5, 3.0], [0.5, 2.0], [1.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300], ids=["zero", "negative-zero", "tiny"])
+def test_sweep_deviation_texts_are_mu_stars_where_theta_moves_no_cell(tmp_path, theta):
+    path, expected = tmp_path / "sweep.csv", tmp_path / "points.csv"
+    _write_sweep(path, *_sweep_grid(*_SWEEP_AXES, theta), theta, metadata={"config_hash": "beef"})
+    sweep_to_csv(impact_sweep(*_SWEEP_AXES, theta=theta), expected, metadata={"config_hash": "beef"})
+    assert path.read_bytes() == expected.read_bytes()
+    rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
+    assert len(rows) == 18
+    assert all(row["deviation"] == row["mu_star"] for row in rows)
+
+
+@pytest.mark.parametrize("theta, per_cell", [(0.0, 2), (-0.0, 2), (1e-300, 2), (33.18, 3)],
+                         ids=["zero", "negative-zero", "tiny", "shifting"])
+def test_sweep_writer_formats_shared_texts_once(monkeypatch, tmp_path, theta, per_cell):
+    """k1 and mu_star per cell, deviation too only where it differs, and each axis value and
+    theta once."""
+    axes, solved = _sweep_grid(*_SWEEP_AXES, theta)
+    calls = []
+    monkeypatch.setattr(adversary, "repr", lambda x: calls.append(x) or float.__repr__(x),
+                        raising=False)
+    _write_sweep(tmp_path / "sweep.csv", axes, solved, theta)
+    assert len(calls) == per_cell * 18 + 8 + 1
+
+
+def test_sweep_writer_holds_no_column_of_texts(tmp_path):
+    """50,000 cells at theta 0, deviation sharing mu_star's texts: the writer's peak is the
+    two columns' bits it compares, where a column of texts held costs about 4 MB."""
+    axes, solved = _sweep_grid([0.05 + 0.01 * i for i in range(50)],
+                               [0.25 * (i + 1) for i in range(50)],
+                               [0.5 * (i + 1) for i in range(20)], 0.0)
+    tracemalloc.start()
+    try:
+        _write_sweep(tmp_path / "sweep.csv", axes, solved, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"_write_sweep peaked at {peak / 2**20:.2f} MiB"
 
 
 _PAYLOAD = {"epsilon": 0.1, "k1": 2.0000000000000004, "ids": ["pmu,1", 'pdc"1', "ä €", {}],
