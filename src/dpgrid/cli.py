@@ -176,6 +176,10 @@ def _cmd_qos(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     # unresolved None still names one output.
     start = max(0, args.days - 78) if args.attack_start is None else args.attack_start
     end = max(0, args.days - 48) if args.attack_end is None else args.attack_end
+    # The daily series holds --days values; a --days below 1 is synth_pmu's to refuse.
+    if args.days >= 1 and not 0 <= start <= end <= args.days:
+        raise ValueError(f"attack window outside series: --attack-start {start} and --attack-end "
+                         f"{end} must satisfy 0 <= start <= end <= --days {args.days}")
     hourly = synth_pmu(days=args.days, seed=derive_seed(args.seed, "qos-series"))
     original = resample(hourly, "day", how="sum")  # daily energy totals
     params = PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon)

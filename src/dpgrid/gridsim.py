@@ -452,10 +452,12 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
 
 
+_JSON_NAMES = {dict: "object", list: "list", str: "string"}
+
+
 def _expect(value, kind: type, field: str):
     if not isinstance(value, kind):
-        expected = "object" if kind is dict else "list"
-        raise ValueError(f"{field} must be a JSON {expected}, got {value!r}")
+        raise ValueError(f"{field} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -466,11 +468,11 @@ def _required(data: dict, key: str, where: str):
 
 
 def _number(value, field: str) -> float:
-    """float(value), refusing JSON's true and false, which float would read as 1.0 and 0.0."""
+    """float(value) of a JSON number: not a string, nor true or false, which float would read."""
     try:
-        if not isinstance(value, bool):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         pass
     raise ValueError(f"{field} must be a number, got {value!r}")
 
@@ -522,7 +524,7 @@ def topology_from_dict(data: dict) -> GridTopology:
     for i, n in enumerate(_expect(data.get("nodes"), list, "topology.nodes")):
         where = f"topology.nodes[{i}]"
         n = _expect(n, dict, where)
-        nodes.append(Node(id=str(_required(n, "id", where)),
+        nodes.append(Node(id=_expect(_required(n, "id", where), str, f"{where}.id"),
                           layer=parse_layer(_required(n, "layer", where))))
     edges = []
     for i, e in enumerate(_expect(data.get("edges"), list, "topology.edges")):
@@ -541,8 +543,9 @@ def topology_from_dict(data: dict) -> GridTopology:
                 window = tuple(_number(t, field) for t in bounds)
                 if len(window) != 2 or not all(w.is_integer() for w in window):
                     raise ValueError(f"{field} must be [start, end] of whole timesteps, got {bounds!r}")
-        edges.append(_at(where, Edge, str(_required(e, "child", where)),
-                         str(_required(e, "parent", where)), attacker, window))
+        child, parent = (_expect(_required(e, key, where), str, f"{where}.{key}")
+                         for key in ("child", "parent"))
+        edges.append(_at(where, Edge, child, parent, attacker, window))
     policy = {
         parse_layer(name): _params_from_dict(params, f"topology.dp_policy.{name}")
         for name, params in _expect(data.get("dp_policy", {}), dict, "topology.dp_policy").items()

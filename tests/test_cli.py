@@ -325,7 +325,13 @@ def test_qos_flag_changes_output_and_config_hash(capsys, flag, value):
     (["--attack-start", "100", "--attack-end", "200"], "attack window outside series"),
     (["--horizon", "0"], "horizon must be at least 1, got 0"),
     (["--season-length", "0"], "season_length must be at least 1, got 0"),
-], ids=["reversed-window", "window-past-series", "zero-horizon", "zero-season-length"])
+    (["--attack-start", "50", "--attack-end", "40"],
+     "--attack-start 50 and --attack-end 40 must satisfy 0 <= start <= end <= --days 120"),
+    (["--attack-start", "100", "--attack-end", "200"],
+     "--attack-start 100 and --attack-end 200 must satisfy 0 <= start <= end <= --days 120"),
+    (["--attack-start", "-1"], "--attack-start -1 and --attack-end 72"),
+], ids=["reversed-window", "window-past-series", "zero-horizon", "zero-season-length",
+        "reversed-window-named", "window-past-series-named", "negative-start-named"])
 def test_qos_bad_flag_exits_2_with_json(capsys, tmp_path, flags, needle):
     out_file = tmp_path / "qos.json"
     code, out, err = run_cli(capsys, [*_QOS, *flags, "--out", str(out_file)])
@@ -484,6 +490,12 @@ _BOOL_GAMMA_EDGES = [
      "attacker": {"gamma": True, "sensitivity": 2.0, "epsilon": 0.5}},
     _GOOD_EDGES[1],
 ]
+_STRING_GAMMA_EDGES = [
+    {"child": "pmu1", "parent": "pdc1",
+     "attacker": {"gamma": " 2 ", "sensitivity": 2.0, "epsilon": 0.5}},
+    _GOOD_EDGES[1],
+]
+_STRING_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": ["10", "20"]}, _GOOD_EDGES[1]]
 _HUGE_WINDOW_EDGES = [{**_BAD_WINDOW_EDGES[0], "attack_window": [0, 10**400]}, _GOOD_EDGES[1]]
 _NULL_ID_NODES = [{"id": None, "layer": "PMU"}, *_CHAIN_NODES[1:]]
 _CHAIN = {"nodes": _CHAIN_NODES, "edges": _GOOD_EDGES}
@@ -603,6 +615,16 @@ def _overflowing_bucket(tmp_path):
      "topology.dp_policy.PMU.sensitivity must be a number, got True"),
     ({"nodes": _CHAIN_NODES, "edges": _BOOL_GAMMA_EDGES}, [],
      "topology.edges[0].attacker.gamma must be a number, got True"),
+    ({"nodes": _CHAIN_NODES, "edges": _STRING_GAMMA_EDGES}, [],
+     "topology.edges[0].attacker.gamma must be a number, got ' 2 '"),
+    ({"nodes": _CHAIN_NODES, "edges": _STRING_WINDOW_EDGES}, [],
+     "topology.edges[0].attack_window must be a number, got '10'"),
+    ({**_CHAIN, "dp_policy": {"PMU": {"sensitivity": 2.0, "epsilon": "0.5"}}}, [],
+     "topology.dp_policy.PMU.epsilon must be a number, got '0.5'"),
+    ({"nodes": [{"id": 1, "layer": "PMU"}, *_CHAIN_NODES[1:]], "edges": _GOOD_EDGES}, [],
+     "topology.nodes[0].id must be a JSON string, got 1"),
+    ({"nodes": _CHAIN_NODES, "edges": [{"child": {"a": 1}, "parent": "pdc1"}, _GOOD_EDGES[1]]},
+     [], "topology.edges[0].child must be a JSON string, got {'a': 1}"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
@@ -610,7 +632,8 @@ def _overflowing_bucket(tmp_path):
         "year-beyond-datetime64", "oversized-field", "policy-scale-overflow",
         "series-not-a-pmu", "non-finite-sum", "policy-negative-sensitivity",
         "attacker-huge-gamma", "reversed-window", "stray-series-missing-file",
-        "resample-overflow", "boolean-sensitivity", "boolean-gamma"])
+        "resample-overflow", "boolean-sensitivity", "boolean-gamma", "string-gamma",
+        "string-window", "string-policy-epsilon", "integer-node-id", "object-edge-child"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))
