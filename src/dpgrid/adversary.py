@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass, field, fields
 from itertools import product, tee, zip_longest
 from operator import attrgetter
@@ -247,6 +246,8 @@ def _write_sweep(path, axes, solved, theta: float, metadata: dict | None = None)
     (theta is +-0.0, or too small to move any cell), it shares mu_star's texts through tee;
     write_csv reads the columns in lockstep, so the tee holds at most a block of texts.
     """
+    from array import array  # a shared library that only the sweep needs
+
     k1s, mus, devs = solved
     cells = product(*(map(repr, axis) for axis in (*axes, [theta])))
     mu_texts = map(repr, mus)

@@ -26,7 +26,10 @@ def _cli(*argv):
     (_cli("sweep", "--epsilons", "0.1,0.5", "--gammas", "0.5,2", "--sensitivities", "1,2",
           "--out", "sweep.csv"),
      {"numpy", "csv", "dpgrid.gridsim"}),
-], ids=["package", "cli", "bench", "sweep-name", "calibrate", "impact", "sweep"])
+    # array is a shared library that only the sweep writer needs; simulate and qos load no copy.
+    ("import dpgrid.gridsim, dpgrid.qos", {"array"}),
+], ids=["package", "cli", "bench", "sweep-name", "calibrate", "impact", "sweep",
+        "no-array-outside-sweep"])
 def test_import_loads_only_what_runs(code, absent, tmp_path):
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "DPGRID_OUTPUT_DIR": str(tmp_path)}  # where the sweep writes
