@@ -223,7 +223,7 @@ def test_sweep_writer_formats_shared_texts_once(monkeypatch, tmp_path, theta, pe
 
 def test_sweep_writer_holds_no_column_of_texts(tmp_path):
     """50,000 cells at theta 0, deviation sharing mu_star's texts: the writer's peak is the
-    two columns' bits it compares, where a column of texts held costs about 4 MB."""
+    two columns' bytes it compares, where holding one column of texts costs about 4.7 MiB."""
     axes, solved = _sweep_grid([0.05 + 0.01 * i for i in range(50)],
                                [0.25 * (i + 1) for i in range(50)],
                                [0.5 * (i + 1) for i in range(20)], 0.0)
