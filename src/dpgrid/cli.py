@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from typing import Callable
@@ -238,8 +239,18 @@ def _cmd_synth(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a negative number in exponent form, `--theta -1e308`, as an option's value, as it
+    takes -1 and -0.5; argparse before Python 3.13 reads it as an option and stops with usage.
+    Its subcommand parsers are made by this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # Python 3.13's rule
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpgrid",
         description="Laplace-noise defense design and evaluation for grid telemetry",
     )

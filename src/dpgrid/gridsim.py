@@ -286,8 +286,12 @@ def _deviations(block: np.ndarray, w: int, mean, csum, dev) -> np.ndarray:
     with the block's leading shape, and hold nothing between calls but csum's zeros.
     """
     # De-meaned, so the cumsum's rounding error scales with the spread, not the level.
-    np.true_divide(np.add.reduce(block, axis=-1, keepdims=True, out=mean), block.shape[-1],
-                   out=mean)
+    with np.errstate(over="ignore"):
+        np.add.reduce(block, axis=-1, keepdims=True, out=mean)
+    np.true_divide(mean, block.shape[-1], out=mean)
+    over = ~np.isfinite(mean)
+    if over.any():  # a row whose sum overflows takes _mean's scaled rule
+        mean[over] = _mean(block[over[..., 0]], axis=-1)
     np.subtract(block, mean, out=block)
     np.cumsum(block, axis=-1, out=csum[..., 1:])
     np.subtract(csum[..., w:-1], csum[..., :-w - 1], out=dev)
@@ -353,6 +357,16 @@ class _Query:
                 row[start:end] = sample_attack_noise(attacker, gen, size=end - start)
         return own, injected
 
+    def skip(self, runs: int) -> None:
+        """Moves every stream past its next `runs` runs, where draws(runs) would leave it.  A
+        uniform double takes one PCG64 output, so each noisy node's generator advances; the attack
+        noise's exponential draws take a varying number, so each skipped injection is drawn."""
+        for _, _, gen in self.noisy:
+            gen.bit_generator.advance(runs * len(self.timestamps))
+        for _, attacker, start, end, gen in self.attacks:
+            for _ in range(runs):
+                sample_attack_noise(attacker, gen, size=end - start)
+
     def walk(self, own: np.ndarray, injected: dict, out: np.ndarray) -> np.ndarray:
         """Writes each edge's noise_total into out[i]: the combined noise its child receives,
         the child's own draws and the edge's injection, if any; delivered is true[i] plus it."""
@@ -414,7 +428,16 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     The false positive rate counts flags on every edge of the clean runs,
     the true positive rate flags on compromised edges inside their attack
     windows; steps inside the detector warm-up count toward neither.
+
+    The runs are cut into contiguous shares of whole chunks, one per CPU
+    the process may run on and never more than there are chunks.  This
+    process scores the first share and a forked child each other one,
+    from its streams moved past the runs before it; the counts are
+    integers, so the rates do not depend on how the runs are split.
     """
+    import os
+    import pickle
+
     if n_runs < 1000:
         raise ValueError(f"n_runs must be at least 1000, got {n_runs}")
     query = _Query(topology, series_map, kind, seed)
@@ -427,13 +450,95 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     scored = [(i, max(w, start), end)
               for i, _, start, end, _ in query.attacks if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # outside Linux: one share
+        cpus = 1
+    chunks = -(-n_runs // rows)
+    n_shares = min(cpus, chunks)
+    # Share k runs chunks k * chunks // n_shares up to (k + 1) * chunks // n_shares.
+    bounds = [min(n_runs, k * chunks // n_shares * rows) for k in range(n_shares + 1)]
+    shares = list(zip(bounds, bounds[1:]))
+    children = []  # (pid, read end of its pipe) per forked share, in share order
+    try:
+        for first, last in shares[1:]:
+            children.append(_fork_share(query, detector, scored, rows, first, last))
+        counts = [_flag_counts(query, detector, scored, rows, shares[0][1])]
+        for (first, last), (_, pipe) in zip(shares[1:], children):
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"the share of runs {first} to {last} gave no result")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):  # the lowest failing share's, as in one process
+                raise result
+            counts.append(result)
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    tp, fp = map(sum, zip(*counts))
+    fpr = fp / (n_runs * len(topology.edges) * (n - w))
+    tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
+    tpr = tp / tp_opportunities if tp_opportunities else None
+    return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
+
+
+def _fork_share(query: _Query, detector: Detector, scored: list, rows: int,
+                first: int, last: int) -> tuple:
+    """Forks a child that moves the query's streams past the runs before first, scores runs
+    first..last - 1 and pickles down a pipe their (true, false) positive flags or the exception
+    it met; returns the child's pid and the pipe's read end."""
+    import os
+    import pickle
+    import warnings
+
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a process with threads (OpenBLAS's) may deadlock
+            # the child; the children call no BLAS routine.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may "
+                r"lead to deadlocks in the child\.", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:
+        os.close(read)
+        try:
+            query.skip(first)
+            result = _flag_counts(query, detector, scored, rows, last - first)
+        except BaseException as exc:
+            result = exc
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _flag_counts(query: _Query, detector: Detector, scored: list, rows: int,
+                 runs: int) -> tuple[int, int]:
+    """(true, false) positive flags of the next `runs` runs of the query's streams, in chunks of
+    up to `rows` runs."""
+    n, w = len(query.timestamps), detector.window
     # The stack a pass is walked into, one (runs, hours) layer per edge, and the detector's
     # buffers: allocated once, so no chunk allocates anything of the stack's size.
-    stack = np.empty((len(query.edges), min(rows, n_runs), n))
+    stack = np.empty((len(query.edges), min(rows, runs), n))
     work = _work_buffers(stack.shape, w)
     tp = fp = 0
-    for first in range(0, n_runs, rows):
-        r = min(rows, n_runs - first)
+    for first in range(0, runs, rows):
+        r = min(rows, runs - first)
         own, injected = query.draws(r)
         clean = query.walk(own, {}, stack[:, :r])
         clean += query.true
@@ -446,10 +551,7 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
                 hit[i] += query.true[i]
                 dev = _deviations(hit[i], w, *(b[i, :r] for b in work))
                 tp += int(np.count_nonzero(dev[:, start - w:end - w] > detector.tau))
-    fpr = fp / (n_runs * len(topology.edges) * (n - w))
-    tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
-    tpr = tp / tp_opportunities if tp_opportunities else None
-    return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
+    return tp, fp
 
 
 _JSON_NAMES = {dict: "object", list: "list", str: "string"}

@@ -429,6 +429,25 @@ def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
     assert not out_file.exists()  # every cell is solved before the file opens
 
 
+# A negative theta in exponent form is the option's value, as in the --theta=... form.
+@pytest.mark.parametrize("argv, theta", [
+    (["sweep", "--epsilons", "0.1,0.5", "--gammas", "0.5,2", "--sensitivities", "1,2"], "-1e-300"),
+    (["impact", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2"], "-1e308"),
+    (["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "50"], "-1e308"),
+], ids=["sweep", "impact", "calibrate"])
+def test_negative_exponent_theta_is_the_options_value(capsys, tmp_path, argv, theta):
+    out_file = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_file)]
+    runs = []
+    for form in (["--theta", theta], [f"--theta={theta}"]):
+        code, out, err = run_cli(capsys, [*argv, *form])
+        runs.append((code, out, out_file.read_bytes() if argv[0] == "sweep" else None))
+        assert code == 0, err
+    assert runs[0] == runs[1]
+    assert parse_json(runs[0][1])["config_hash"]
+
+
 # A stealth budget the tilt's root solve cannot resolve, at either end.
 @pytest.mark.parametrize("argv, needle", [
     (["impact", "--epsilon", "0.1", "--gamma", "1e-310", "--sensitivity", "2"],
@@ -675,6 +694,25 @@ def test_simulate_summarises_readings_whose_sum_overflows(capsys, tmp_path):
     summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
                "attacked": False}
     assert payload["edges"] == {"pdc1->m": summary, "pmu1->pdc1": summary}
+
+
+@pytest.mark.parametrize("extra", [[], ["--n-runs", "1000"]], ids=["trace", "detection-rate"])
+def test_simulate_detects_on_readings_whose_sum_overflows(capsys, tmp_path, extra):
+    """The detector centres each edge's 24 readings of 1e308 on their mean, 1e308, though their
+    sum is not a float, in the trace and in every Monte-Carlo run."""
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(_CHAIN))
+    code, out, err = run_cli(capsys, ["simulate", "--topology", str(path), "--series",
+                                      f"pmu1={_huge_hours(tmp_path)}", "--tau", "6",
+                                      "--window", "4", *extra])
+    assert code == 0, err
+    payload = parse_json(out)
+    summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
+               "attacked": False}
+    assert payload["edges"] == {"pdc1->m": summary, "pmu1->pdc1": summary}
+    if extra:
+        assert payload["detection"] == {"true_positive_rate": None, "false_positive_rate": 0.0,
+                                        "n_runs": 1000}
 
 
 def test_simulate_averages_children_whose_sum_overflows(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import warnings
 from dataclasses import asdict
 from itertools import product
 
@@ -411,6 +413,22 @@ def test_stacked_deviations_equal_flags_by_row(edges, rows, window, extra, level
                 == flags[-1][:, start:end].sum())
 
 
+def test_deviations_scale_only_the_rows_whose_sum_overflows():
+    # A row whose sum overflows is centred on _mean's scaled mean, without a warning; every
+    # other row keeps the bits it has when scored alone.
+    w = 4
+    values = 30.0 + np.random.default_rng(3).standard_normal((2, 3, 24))
+    values[1, 2] = 1e308
+    values[0, 1] = np.tile([1e308, 5e307], 12)
+    dev = gridsim._deviations(values.copy(), w, *gridsim._work_buffers(values.shape, w))
+    assert not dev[1, 2].any()
+    np.testing.assert_allclose(dev[0, 1], 2.5e307, rtol=1e-12)
+    for edge, run in [(0, 0), (0, 2), (1, 0), (1, 1)]:
+        row = values[edge, run][None].copy()
+        alone = gridsim._deviations(row, w, *gridsim._work_buffers(row.shape, w))
+        assert dev[edge, run].tobytes() == alone[0].tobytes()
+
+
 @pytest.mark.parametrize("hours", [6, 24], ids=["shorter", "equal"])
 def test_run_query_flags_nothing_within_one_window(hours):
     topo = chain_topology(dp={Layer.PMU: PrivacyParams(2.0, 0.5)})
@@ -597,9 +615,11 @@ def windowed_topology(windows, wiring=TWO_LAYER):
 
 def chunked_detection_rate(monkeypatch, rows, topology, series, *args):
     # detection_rate on 2-day series with a byte budget of `rows` runs per chunk
-    # (four float rows per node and edge per run); returns (rates, chunk sizes).
+    # (four float rows per node and edge per run), all in this process on one CPU,
+    # so the spy sees every chunk; returns (rates, chunk sizes).
     budget = rows * 32 * 48 * (len(topology.nodes) + len(topology.edges))
     monkeypatch.setattr(gridsim, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     sizes = []
     draws = gridsim._Query.draws
 
@@ -623,6 +643,129 @@ def test_detection_rate_does_not_depend_on_chunk_size(monkeypatch):
         stacked_rates.append(chunked_detection_rate(monkeypatch, rows, *stacked, "sum",
                                                     Detector(tau=6.0, window=6), 1000, 11)[0])
     assert stacked_rates[0] == stacked_rates[1] == stacked_rates[2]
+
+
+@pytest.mark.parametrize("skipped, rows", [(0, 3), (1, 4), (4, 1), (9, 2)])
+def test_skip_then_draws_equals_rows_of_one_whole_call_draw(skipped, rows):
+    # skip(k) then draws(r) gives rows k..k+r of one draws(k+r), bit for bit, for noisy nodes
+    # and for attack windows clipped to the run.
+    windows = {("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (40, 10_000)}
+    topo, series = windowed_topology(windows)
+    own, injected = gridsim._Query(topo, series, "sum", 11).draws(skipped + rows)
+    query = gridsim._Query(topo, series, "sum", 11)
+    query.skip(skipped)
+    part_own, part_injected = query.draws(rows)
+    assert part_own.tobytes() == own[:, skipped:].tobytes()
+    assert part_injected.keys() == injected.keys() and len(injected) == 2
+    for i, block in injected.items():
+        assert part_injected[i].tobytes() == block[skipped:].tobytes()
+
+
+def cpus(monkeypatch, count):
+    # detection_rate's CPU count; returns the list the parent's os.fork calls append to.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    forks, fork = [], os.fork
+
+    def spy():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+@pytest.mark.parametrize("n_runs", [1000, 1001])
+def test_detection_rate_does_not_depend_on_share_count(monkeypatch, n_runs):
+    golden = _attacked_tree()
+    stacked = windowed_topology({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)})
+    # Chunks of 100 runs on the golden tree (11 nodes and edges) and of 157 on the stacked one
+    # (7): 10 or 11 chunks and 7, cut into 1, 2 or 3 shares of unequal sizes.
+    monkeypatch.setattr(gridsim, "_CHUNK_BYTES", 100 * 32 * 48 * 11)
+    rates = []
+    for count in (1, 2, 3):
+        forks = cpus(monkeypatch, count)
+        rates.append((
+            detection_rate(*golden, "hourly_mean", Detector(tau=6.0, window=12), n_runs, 11),
+            detection_rate(*stacked, "sum", Detector(tau=6.0, window=6), n_runs, 11),
+        ))
+        assert len(forks) == 2 * (count - 1)
+    assert rates[0] == rates[1] == rates[2]
+    if n_runs == 1000:
+        assert _sha256_json(asdict(rates[2][0])) == DETECTION_SHA256
+
+
+def failing_share(monkeypatch, fails):
+    # detection_rate's chunk loop, raising in every share whose first run `fails` picks; a child
+    # learns its first run from skip, the parent's share starts at run 0.
+    skip, count = gridsim._Query.skip, gridsim._flag_counts
+
+    def skip_spy(self, runs):
+        self.first = runs
+        skip(self, runs)
+
+    def helper(query, *args):
+        first = getattr(query, "first", 0)
+        if fails(first):
+            raise ValueError(f"share from run {first} failed")
+        return count(query, *args)
+
+    monkeypatch.setattr(gridsim._Query, "skip", skip_spy)
+    monkeypatch.setattr(gridsim, "_flag_counts", helper)
+
+
+@pytest.mark.parametrize("fails, message", [
+    (lambda first: first > 0, "share from run 200 failed"),  # the lowest failing share's
+    (lambda first: first == 600, "share from run 600 failed"),
+    (lambda first: first == 0, "share from run 0 failed"),  # the children are killed
+], ids=["every-child", "last-child", "parent"])
+def test_failing_share_reaches_the_caller_and_leaves_no_child(monkeypatch, fails, message):
+    monkeypatch.setattr(gridsim, "_CHUNK_BYTES", 200 * 32 * 48 * 11)  # shares of 1, 2 and 2 chunks
+    forks = cpus(monkeypatch, 3)
+    failing_share(monkeypatch, fails)
+    with pytest.raises(ValueError, match=message):
+        detection_rate(*_attacked_tree(), "hourly_mean", Detector(tau=6.0, window=12), 1000, 11)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_ignores_only_the_multithreaded_fork_warning(monkeypatch):
+    # Python 3.12+ warns on os.fork in a process with threads, which OpenBLAS starts; pytest
+    # makes a DeprecationWarning an error, so the fork must not let that one through.
+    cpus(monkeypatch, 2)
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                      "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    rates = detection_rate(*_attacked_tree(), "hourly_mean", Detector(tau=6.0, window=12), 1000, 11)
+    assert _sha256_json(asdict(rates)) == DETECTION_SHA256
+
+    def other_warning_fork():
+        warnings.warn("some other deprecation", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", other_warning_fork)
+    with pytest.raises(DeprecationWarning, match="some other deprecation"):
+        detection_rate(*_attacked_tree(), "hourly_mean", Detector(tau=6.0, window=12), 1000, 11)
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["one-cpu", "no-affinity"])
+def test_one_cpu_never_forks(monkeypatch, affinity):
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    else:  # as outside Linux
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    rates = detection_rate(*_attacked_tree(), "hourly_mean", Detector(tau=6.0, window=12), 1000, 11)
+    assert _sha256_json(asdict(rates)) == DETECTION_SHA256
 
 
 # -------------------------------------------------------------------- sweep
