@@ -240,13 +240,15 @@ def _cmd_synth(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes a negative number in exponent form, `--theta -1e308`, as an option's value, as it
-    takes -1 and -0.5; argparse before Python 3.13 reads it as an option and stops with usage.
-    Its subcommand parsers are made by this class too."""
+    """Takes a negative number in exponent form, `--theta -1e308`, or a negative infinity or
+    NaN, `--theta -inf`, `--epsilons -nan,1`, as an option's value, as it takes -1 and -0.5;
+    argparse reads them as options and stops with usage (before Python 3.13 for the exponent
+    form, in every version for -inf and -nan). Its subcommand parsers are made by this class."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # Python 3.13's rule
+        # Python 3.13's rule, plus the prefixes float() reads as -inf, -infinity and -nan.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

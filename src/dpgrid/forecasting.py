@@ -1,10 +1,11 @@
 """Seasonal forecasters for telemetry series.
 
-Two methods, both dependency-free: a seasonal-naive baseline that
-repeats the last observed season, and additive Holt-Winters (level,
-trend, seasonal components) with fixed smoothing weights.  Forecast
-quality is not the point here; the forecasters exist so that noise and
-tampering can be priced by how much they move downstream predictions.
+`forecast` runs additive Holt-Winters (level, trend, seasonal
+components) with fixed smoothing weights; `seasonal_naive_forecast`,
+which repeats the last observed season, is the baseline it is measured
+against.  Both are dependency-free.  Forecast quality is not the point
+here; the forecaster exists so that noise and tampering can be priced
+by how much they move downstream predictions.
 """
 
 from __future__ import annotations
@@ -15,29 +16,21 @@ import numpy as np
 
 from .series import MeasurementSeries
 
-METHODS = ("holt_winters", "seasonal_naive")
+LEVEL_SMOOTHING = 0.3
+TREND_SMOOTHING = 0.05
+SEASON_SMOOTHING = 0.2
 
 
 @dataclass(frozen=True)
 class ForecastConfig:
     horizon: int
-    method: str = "holt_winters"
     season_length: int = 24
-    level_smoothing: float = 0.3
-    trend_smoothing: float = 0.05
-    season_smoothing: float = 0.2
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if self.season_length < 1:
             raise ValueError(f"season_length must be at least 1, got {self.season_length}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for name in ("level_smoothing", "trend_smoothing", "season_smoothing"):
-            w = getattr(self, name)
-            if not 0.0 < w < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {w}")
 
 
 def _check_series(values: np.ndarray, season_length: int) -> np.ndarray:
@@ -59,31 +52,15 @@ def seasonal_naive_forecast(values, season_length: int, horizon: int) -> np.ndar
     return last_season[np.arange(horizon) % season_length]
 
 
-def seasonal_naive_fitted(values, season_length: int) -> np.ndarray:
-    """One-step-ahead predictions y[t - m]; NaN for the first season."""
-    values = _check_series(values, season_length)
-    fitted = np.full(len(values), np.nan)
-    fitted[season_length:] = values[:-season_length]
-    return fitted
-
-
-def holt_winters_forecast(
-    values,
-    season_length: int,
-    horizon: int,
-    level_smoothing: float = 0.3,
-    trend_smoothing: float = 0.05,
-    season_smoothing: float = 0.2,
-    return_fitted: bool = False,
-):
-    """Additive Holt-Winters with fixed smoothing weights.
+def holt_winters_forecast(values, season_length: int, horizon: int) -> np.ndarray:
+    """Additive Holt-Winters with the module's fixed smoothing weights.
 
     Initialization uses the first two seasons: level is the first
     season's mean, trend the per-step difference of the two seasonal
     means, seasonal offsets the first season's residuals.  The
-    recursion starts at t == season_length; fitted[t] is the one-step
-    prediction formed before y[t] is consumed (NaN during the
-    initialization window).
+    recursion consumes y[t] for t from season_length to the end; the
+    forecast extends the final level and trend and reuses the last
+    season's offsets.
     """
     y = _check_series(values, season_length)
     m = season_length
@@ -94,23 +71,19 @@ def holt_winters_forecast(
     season = np.empty(n, dtype=float)
     season[:m] = y[:m] - level
 
-    fitted = np.full(n, np.nan)
     for t in range(m, n):
-        prediction = level + trend + season[t - m]
-        fitted[t] = prediction
-        new_level = level_smoothing * (y[t] - season[t - m]) + (1.0 - level_smoothing) * (level + trend)
-        trend = trend_smoothing * (new_level - level) + (1.0 - trend_smoothing) * trend
-        season[t] = season_smoothing * (y[t] - new_level) + (1.0 - season_smoothing) * season[t - m]
+        new_level = LEVEL_SMOOTHING * (y[t] - season[t - m]) + (1.0 - LEVEL_SMOOTHING) * (level + trend)
+        trend = TREND_SMOOTHING * (new_level - level) + (1.0 - TREND_SMOOTHING) * trend
+        season[t] = SEASON_SMOOTHING * (y[t] - new_level) + (1.0 - SEASON_SMOOTHING) * season[t - m]
         level = new_level
 
     steps = np.arange(1, horizon + 1)
     seasonal_idx = n - m + (steps - 1) % m
-    forecast = level + steps * trend + season[seasonal_idx]
-    return (forecast, fitted) if return_fitted else forecast
+    return level + steps * trend + season[seasonal_idx]
 
 
 def forecast(series: MeasurementSeries, cfg: ForecastConfig) -> MeasurementSeries:
-    """Forecast a complete, uniformly sampled series.
+    """Forecast a complete, uniformly sampled series with Holt-Winters.
 
     Returns a new series whose timestamps continue the input grid for
     cfg.horizon steps.
@@ -122,17 +95,7 @@ def forecast(series: MeasurementSeries, cfg: ForecastConfig) -> MeasurementSerie
         raise ValueError(f"series too short: need at least {2 * cfg.season_length} points, got {len(series)}")
     if not np.all(steps == steps[0]):
         raise ValueError("series must be uniformly sampled")
-    if cfg.method == "holt_winters":
-        predicted = holt_winters_forecast(
-            series.values,
-            cfg.season_length,
-            cfg.horizon,
-            cfg.level_smoothing,
-            cfg.trend_smoothing,
-            cfg.season_smoothing,
-        )
-    else:
-        predicted = seasonal_naive_forecast(series.values, cfg.season_length, cfg.horizon)
+    predicted = holt_winters_forecast(series.values, cfg.season_length, cfg.horizon)
     step = steps[0]
     future = series.timestamps[-1] + step * np.arange(1, cfg.horizon + 1)
     return MeasurementSeries(

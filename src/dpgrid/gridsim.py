@@ -259,40 +259,35 @@ class SimTrace:
 
 
 def _mean(values: np.ndarray, axis: int | None = None):
-    """np.mean, and where its sum overflows, the mean of the values scaled by 2**-ceil(log2 n)
-    and scaled back: np.mean's rounding without the exponent limit."""
+    """The sum over axis divided by n, np.mean's bits, and where that sum overflows, the mean of
+    the values scaled by 2**-ceil(log2 n) and scaled back: np.mean's rounding without the
+    exponent limit."""
     n = values.size if axis is None else values.shape[axis]
     with np.errstate(over="ignore"):
-        mean = values.mean(axis)
+        mean = np.add.reduce(values, axis) / n
         over = ~np.isfinite(mean)
         if over.any():
             scale = 2.0 ** math.ceil(math.log2(n))
-            mean = np.where(over, (values / scale).mean(axis) * scale, mean)
+            mean = np.where(over, np.add.reduce(values / scale, axis) / n * scale, mean)
     return mean
 
 
 def _work_buffers(shape: tuple, w: int) -> tuple:
-    """_deviations' buffers for blocks of up to `shape` (..., hours): each row's mean,
-    its cumsum after a zero column, and its deviations past the w-step warm-up."""
+    """_deviations' buffers for blocks of up to `shape` (..., hours): each row's cumsum
+    after a zero column, and its deviations past the w-step warm-up."""
     *lead, n = shape
-    return np.empty((*lead, 1)), np.zeros((*lead, n + 1)), np.empty((*lead, n - w))
+    return np.zeros((*lead, n + 1)), np.empty((*lead, n - w))
 
 
-def _deviations(block: np.ndarray, w: int, mean, csum, dev) -> np.ndarray:
+def _deviations(block: np.ndarray, w: int, csum, dev) -> np.ndarray:
     """|delivered - mean of the previous w steps| for steps w.. of each row of a
     (..., hours) block, into dev, where step t is column t - w.
 
-    The block is centred in place; mean, csum and dev are views of _work_buffers
-    with the block's leading shape, and hold nothing between calls but csum's zeros.
+    The block is centred in place; csum and dev are views of _work_buffers with the
+    block's leading shape, and hold nothing between calls but csum's zeros.
     """
     # De-meaned, so the cumsum's rounding error scales with the spread, not the level.
-    with np.errstate(over="ignore"):
-        np.add.reduce(block, axis=-1, keepdims=True, out=mean)
-    np.true_divide(mean, block.shape[-1], out=mean)
-    over = ~np.isfinite(mean)
-    if over.any():  # a row whose sum overflows takes _mean's scaled rule
-        mean[over] = _mean(block[over[..., 0]], axis=-1)
-    np.subtract(block, mean, out=block)
+    np.subtract(block, _mean(block, axis=-1)[..., None], out=block)
     np.cumsum(block, axis=-1, out=csum[..., 1:])
     np.subtract(csum[..., w:-1], csum[..., :-w - 1], out=dev)
     np.true_divide(dev, w, out=dev)

@@ -15,7 +15,7 @@ from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.cli import main
 from dpgrid.gridsim import Edge, GridTopology, Layer, Node, save_topology
 from dpgrid.laplace import PrivacyParams
-from dpgrid.series import ingest_csv, synth_pmu
+from dpgrid.series import export_csv, ingest_csv, synth_pmu
 
 
 def run_cli(capsys, argv):
@@ -303,6 +303,34 @@ def test_qos_smoke(capsys, tmp_path):
         assert (export_dir / f"{name}.csv").exists()
 
 
+# qos exports daily totals: ingest_csv reads them back bit for bit, but simulate needs a reading
+# in every hour, as a synth --out file has, so it refuses them as --series.
+def test_qos_exports_read_back_but_are_no_simulate_series(capsys, topology_file, tmp_path):
+    export_dir = tmp_path / "series"
+    code, out, err = run_cli(capsys, [
+        "qos", "--epsilon", "0.5", "--gamma", "0.5", "--sensitivity", "2.0",
+        "--days", "120", "--seed", "1", "--export-series", str(export_dir),
+    ])
+    assert code == 0, err
+    meta = {"config_hash": parse_json(out)["config_hash"]}
+    for name in ("original", "dp", "fdi_dp"):
+        path = export_dir / f"{name}.csv"
+        series = ingest_csv(path)
+        assert len(series) == 120 and series.complete
+        export_csv(series, tmp_path / "again.csv", metadata=meta)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    simulate = ["simulate", "--topology", str(topology_file), "--tau", "6.0", "--window", "24"]
+    code, out, err = run_cli(capsys, [*simulate, "--series", f"pmu1={export_dir / 'original.csv'}"])
+    assert code == 2 and out == ""
+    assert "empty hours after resampling" in parse_json(err)["error"]
+    hourly = tmp_path / "pmu1.csv"
+    assert run_cli(capsys, ["synth", "--days", "120", "--seed", "1", "--out", str(hourly)])[0] == 0
+    code, out, err = run_cli(capsys, [*simulate, "--series", f"pmu1={hourly}"])
+    assert code == 0, err
+    assert parse_json(out)["n_timesteps"] == 120 * 24
+
+
 _QOS = ["qos", "--epsilon", "0.5", "--gamma", "0.5", "--sensitivity", "2.0", "--days", "120"]
 
 
@@ -429,23 +457,40 @@ def test_extreme_noise_scale_exits_2_with_json(capsys, tmp_path, argv):
     assert not out_file.exists()  # every cell is solved before the file opens
 
 
-# A negative theta in exponent form is the option's value, as in the --theta=... form.
-@pytest.mark.parametrize("argv, theta", [
-    (["sweep", "--epsilons", "0.1,0.5", "--gammas", "0.5,2", "--sensitivities", "1,2"], "-1e-300"),
-    (["impact", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2"], "-1e308"),
-    (["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "50"], "-1e308"),
-], ids=["sweep", "impact", "calibrate"])
-def test_negative_exponent_theta_is_the_options_value(capsys, tmp_path, argv, theta):
+# A negative theta in exponent form, or a negative infinity or NaN, is the option's value, as in
+# the --option=... form: the same stdout, stderr, exit code and sweep file.
+_IMPACT = ["impact", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2"]
+_SWEEP = ["sweep", "--gammas", "0.5,2", "--sensitivities", "1,2"]
+
+
+@pytest.mark.parametrize("argv, option, value, code", [
+    ([*_SWEEP, "--epsilons", "0.1,0.5"], "--theta", "-1e-300", 0),
+    (_IMPACT, "--theta", "-1e308", 0),
+    (["calibrate", "--sensitivity", "2", "--gamma", "2", "--max-deviation", "50"], "--theta",
+     "-1e308", 0),
+    (_IMPACT, "--theta", "-inf", 2),
+    (_IMPACT, "--theta", "-Infinity", 2),
+    (_IMPACT, "--theta", "-nan", 2),
+    (_IMPACT, "--theta", "-NaN", 2),
+    (_SWEEP, "--epsilons", "-inf,1", 2),
+], ids=["sweep", "impact", "calibrate", "impact-minus-inf", "impact-minus-infinity",
+        "impact-minus-nan", "impact-minus-nan-mixed-case", "sweep-minus-inf-epsilon"])
+def test_negative_exponent_theta_is_the_options_value(capsys, tmp_path, argv, option, value,
+                                                      code):
     out_file = tmp_path / "sweep.csv"
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(out_file)]
     runs = []
-    for form in (["--theta", theta], [f"--theta={theta}"]):
-        code, out, err = run_cli(capsys, [*argv, *form])
-        runs.append((code, out, out_file.read_bytes() if argv[0] == "sweep" else None))
-        assert code == 0, err
+    for form in ([option, value], [f"{option}={value}"]):
+        run = run_cli(capsys, [*argv, *form])
+        runs.append((*run, out_file.read_bytes() if out_file.exists() else None))
+        assert run[0] == code, run[2]
     assert runs[0] == runs[1]
-    assert parse_json(runs[0][1])["config_hash"]
+    if code == 0:
+        assert parse_json(runs[0][1])["config_hash"]
+    else:
+        assert runs[0][1] == ""
+        assert parse_json(runs[0][2])["command"] == argv[0]
 
 
 # A stealth budget the tilt's root solve cannot resolve, at either end.
