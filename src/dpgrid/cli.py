@@ -77,7 +77,10 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _float_list(text: str) -> list:
-    values = [float(x) for x in text.split(",") if x.strip()]
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return values
@@ -115,12 +118,13 @@ def _cmd_impact(args: argparse.Namespace, config_hash: Callable[[], str]) -> int
 
 
 def _cmd_sweep(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
-    from .adversary import _sweep_grid, _write_sweep
+    from .adversary import _SWEEP_HEADER, _sweep_rows
+    from .csvio import write_lines
 
-    axes, solved = _sweep_grid(args.epsilons, args.gammas, args.sensitivities, args.theta)
+    cells, lines = _sweep_rows(args.epsilons, args.gammas, args.sensitivities, args.theta)
     out = _resolve_out(args.out)
-    _write_sweep(out, axes, solved, args.theta, metadata={"config_hash": config_hash()})
-    _emit_json({"rows": len(solved[0]), "out": out, "config_hash": config_hash()}, None)
+    write_lines(out, _SWEEP_HEADER, lines, metadata={"config_hash": config_hash()})
+    _emit_json({"rows": cells, "out": out, "config_hash": config_hash()}, None)
     return 0
 
 
@@ -239,16 +243,28 @@ def _cmd_synth(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     return 0
 
 
+def _usage_error(message: str, command: str | None) -> None:
+    """A usage error written as a command's error, then exit 2 as argparse exits."""
+    print(json.dumps({"error": message, "command": command}), file=sys.stderr)
+    sys.exit(2)
+
+
 class _Parser(argparse.ArgumentParser):
     """Takes a negative number in exponent form, `--theta -1e308`, or a negative infinity or
     NaN, `--theta -inf`, `--epsilons -nan,1`, as an option's value, as it takes -1 and -0.5;
     argparse reads them as options and stops with usage (before Python 3.13 for the exponent
-    form, in every version for -inf and -nan). Its subcommand parsers are made by this class."""
+    form, in every version for -inf and -nan). Its subcommand parsers are made by this class.
+
+    A value or an argument it rejects (`--theta abc`, a missing `--out`) is one JSON error on
+    stderr, as a command's, not usage text; the error names the subcommand whose parser met it."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # Python 3.13's rule, plus the prefixes float() reads as -inf, -infinity and -nan.
         self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+    def error(self, message: str):
+        _usage_error(message, self.prog.partition(" ")[2] or None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}", args.command)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow ends the run

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 _SPECIAL = frozenset(',"\r\n')
 
@@ -18,11 +19,21 @@ def write_csv(path, header, columns, metadata: dict | None = None) -> None:
     columns are iterables of field text (floats by repr, free text through quote), read in lockstep.
     A column may carry adjacent fields already joined by ','.
     """
+    write_lines(path, header, csv_lines(columns), metadata)
+
+
+def csv_lines(columns) -> Iterator[str]:
+    """write_csv's data lines for columns, each ending in '\\r\\n'."""
+    return map("{}\r\n".format, map(",".join, zip(*columns)))
+
+
+def write_lines(path, header, lines, metadata: dict | None = None) -> None:
+    """write_csv with its data lines given as texts of whole lines, such as csv_lines' joined."""
     with open(path, "w", newline="") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(map(quote, header)) + "\r\n")
-        fh.writelines(map("{}\r\n".format, map(",".join, zip(*columns))))
+        fh.writelines(lines)
 
 
 def json_text(payload: dict, metadata: dict | None = None) -> str:

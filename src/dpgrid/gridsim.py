@@ -424,14 +424,14 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     the true positive rate flags on compromised edges inside their attack
     windows; steps inside the detector warm-up count toward neither.
 
-    The runs are cut into contiguous shares of whole chunks, one per CPU
-    the process may run on and never more than there are chunks.  This
-    process scores the first share and a forked child each other one,
-    from its streams moved past the runs before it; the counts are
-    integers, so the rates do not depend on how the runs are split.
+    The runs are cut into contiguous shares of whole chunks by
+    shares.run, one per CPU the process may run on and never more than
+    there are chunks.  This process scores the first share and a forked
+    child each other one, from its streams moved past the runs before
+    it; the counts are integers, so the rates do not depend on how the
+    runs are split.
     """
-    import os
-    import pickle
+    from . import shares
 
     if n_runs < 1000:
         raise ValueError(f"n_runs must be at least 1000, got {n_runs}")
@@ -445,81 +445,18 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
     scored = [(i, max(w, start), end)
               for i, _, start, end, _ in query.attacks if end > max(w, start)]
     rows = max(1, _CHUNK_BYTES // (32 * n * (len(topology.nodes) + len(topology.edges))))
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # outside Linux: one share
-        cpus = 1
-    chunks = -(-n_runs // rows)
-    n_shares = min(cpus, chunks)
-    # Share k runs chunks k * chunks // n_shares up to (k + 1) * chunks // n_shares.
-    bounds = [min(n_runs, k * chunks // n_shares * rows) for k in range(n_shares + 1)]
-    shares = list(zip(bounds, bounds[1:]))
-    children = []  # (pid, read end of its pipe) per forked share, in share order
-    try:
-        for first, last in shares[1:]:
-            children.append(_fork_share(query, detector, scored, rows, first, last))
-        counts = [_flag_counts(query, detector, scored, rows, shares[0][1])]
-        for (first, last), (_, pipe) in zip(shares[1:], children):
-            data = pipe.read()
-            if not data:
-                raise ChildProcessError(f"the share of runs {first} to {last} gave no result")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):  # the lowest failing share's, as in one process
-                raise result
-            counts.append(result)
-    except BaseException:
-        from signal import SIGKILL
 
-        for pid, _ in children:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    tp, fp = map(sum, zip(*counts))
+    def share(first: int, last: int) -> tuple[int, int]:
+        # Chunks first..last - 1, from the streams moved past the runs before them.
+        first, last = (min(n_runs, chunk * rows) for chunk in (first, last))
+        query.skip(first)
+        return _flag_counts(query, detector, scored, rows, last - first)
+
+    tp, fp = map(sum, zip(*shares.run(-(-n_runs // rows), share)))
     fpr = fp / (n_runs * len(topology.edges) * (n - w))
     tp_opportunities = n_runs * sum(end - start for _, start, end in scored)
     tpr = tp / tp_opportunities if tp_opportunities else None
     return DetectionRates(true_positive_rate=tpr, false_positive_rate=fpr, n_runs=n_runs)
-
-
-def _fork_share(query: _Query, detector: Detector, scored: list, rows: int,
-                first: int, last: int) -> tuple:
-    """Forks a child that moves the query's streams past the runs before first, scores runs
-    first..last - 1 and pickles down a pipe their (true, false) positive flags or the exception
-    it met; returns the child's pid and the pipe's read end."""
-    import os
-    import pickle
-    import warnings
-
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a process with threads (OpenBLAS's) may deadlock
-            # the child; the children call no BLAS routine.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may "
-                r"lead to deadlocks in the child\.", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, open(read, "rb")
-    try:
-        os.close(read)
-        try:
-            query.skip(first)
-            result = _flag_counts(query, detector, scored, rows, last - first)
-        except BaseException as exc:
-            result = exc
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-    finally:
-        os._exit(0)
 
 
 def _flag_counts(query: _Query, detector: Detector, scored: list, rows: int,

@@ -1,5 +1,6 @@
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 # pyproject's pytest `pythonpath` puts src/ on this process's path; tests
@@ -13,3 +14,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("package")
+
+
+@pytest.fixture(autouse=True)
+def _keep_affinity():
+    """dpgrid.shares pins this process to one CPU while it runs a share and then restores the
+    affinity set it read; tests fake that set, so each test gets the real one back."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpgrid import adversary
 from dpgrid.adversary import AttackProfile, impact_sweep, sweep_to_csv
 from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.cli import main
@@ -19,7 +21,10 @@ from dpgrid.series import export_csv, ingest_csv, synth_pmu
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a value argparse rejects exits as argparse does
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -130,6 +135,108 @@ def test_sweep_rejects_empty_axis(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--epsilons", ",", "--gammas", "1.0", "--sensitivities", "1.0"])
     assert exc.value.code == 2
+
+
+def cpus(monkeypatch, count):
+    # The affinity set dpgrid.shares reads; returns the list the parent's os.fork calls append to.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    forks, fork = [], os.fork
+
+    def spy():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+@pytest.mark.parametrize("theta", ["0.0", "33.18"])
+def test_sweep_bytes_do_not_depend_on_share_count(capsys, monkeypatch, tmp_path, theta):
+    # 70 cells, cut into 1, 2 or 3 shares of 23 and 24 cells; the fork cut-off is lowered so a
+    # grid this small forks.
+    monkeypatch.setattr(adversary, "_FORK_CELLS", 20)
+    axes = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2], [0.5, 1.0, 2.0, 4.0, 8.0], [1.0, 2.5]
+    argv = ["sweep", *(f"--{name}={','.join(map(repr, axis))}" for name, axis in
+                       zip(("epsilons", "gammas", "sensitivities"), axes)), "--theta", theta]
+    outputs = []
+    for count in (1, 2, 3):
+        forks = cpus(monkeypatch, count)
+        out_file = tmp_path / f"sweep-{count}.csv"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(out_file)])
+        assert code == 0, err
+        assert len(forks) == count - 1
+        assert parse_json(out)["rows"] == 70
+        outputs.append(out_file.read_bytes())
+    expected = tmp_path / "points.csv"
+    sweep_to_csv(impact_sweep(*axes, theta=float(theta)), expected,
+                 metadata={"config_hash": parse_json(out)["config_hash"]})
+    assert outputs[0] == outputs[1] == outputs[2] == expected.read_bytes()
+
+
+def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, monkeypatch, tmp_path):
+    # The README's 48-cell example.
+    forks = cpus(monkeypatch, 2)
+    code, _, err = run_cli(capsys, ["sweep", "--epsilons", "0.05,0.1,0.2,0.4",
+                                    "--gammas", "0.5,1,2,4", "--sensitivities", "1,2,4",
+                                    "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0, err
+    assert forks == []
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeypatch, tmp_path,
+                                                                 count):
+    # Cells 4 and 5 of 6, epsilon 1e200 at both sensitivities, have no finite mean shift; they
+    # lie in the last share, a child's, of 2 or 3.
+    monkeypatch.setattr(adversary, "_FORK_CELLS", 1)
+    out_file = tmp_path / "sweep.csv"
+    argv = ["sweep", "--epsilons", "1,2,1e200", "--gammas", "2", "--sensitivities", "1e-3,1",
+            "--out", str(out_file)]
+    runs = []
+    for cpu_count in (1, count):
+        forks = cpus(monkeypatch, cpu_count)
+        runs.append(run_cli(capsys, argv))
+        assert len(forks) == cpu_count - 1
+        assert not out_file.exists()
+    assert runs[0] == runs[1]
+    code, out, err = runs[1]
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "sweep", "error": "noise scale out of range: the "
+                               "attacker's mean shift is not finite"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# A value or an argument that argparse itself rejects: the same JSON error and exit code as a
+# command's own validation, nothing on stdout and no output file.
+@pytest.mark.parametrize("argv, command, needle", [
+    (["impact", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2", "--theta", "abc"],
+     "impact", "argument --theta: invalid float value: 'abc'"),
+    (["qos", "--epsilon", "0.1", "--gamma", "2", "--sensitivity", "2", "--days", "x"],
+     "qos", "argument --days: invalid int value: 'x'"),
+    (["sweep", "--epsilons", ",", "--gammas", "1", "--sensitivities", "1"],
+     "sweep", "argument --epsilons: empty list: ','"),
+    (["sweep", "--epsilons", "0.1,abc", "--gammas", "1", "--sensitivities", "1"],
+     "sweep", "argument --epsilons: not a list of numbers: '0.1,abc'"),
+    (["sweep", "--epsilons", "0.1", "--gammas", "1", "--sensitivities", "1", "--bogus", "1"],
+     "sweep", "unrecognized arguments: --bogus 1"),
+    (["calibrate", "--sensitivity", "2", "--gamma", "2"],
+     "calibrate", "the following arguments are required: --max-deviation"),
+    (["nosuch"], None, "argument command: invalid choice: 'nosuch'"),
+    ([], None, "the following arguments are required: command"),
+], ids=["impact-theta", "qos-days", "sweep-empty-axis", "sweep-bad-axis", "sweep-unknown-flag",
+        "calibrate-missing", "unknown-command", "no-command"])
+def test_argparse_rejection_exits_2_with_json(capsys, tmp_path, argv, command, needle):
+    out_file = tmp_path / "out"
+    if argv and argv[0] != "calibrate":
+        argv = [*argv, "--out", str(out_file)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    payload = parse_json(err)
+    assert payload["command"] == command
+    assert needle in payload["error"]
+    assert not out_file.exists()
 
 
 # -------------------------------------------------------------------- synth

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgrid import adversary
-from dpgrid.adversary import _sweep_grid, _write_sweep, impact_sweep, sweep_to_csv
-from dpgrid.csvio import json_text, quote, write_csv, write_json
+from dpgrid.adversary import (_SWEEP_HEADER, _sweep_columns, _sweep_grid, _sweep_rows,
+                              impact_sweep, sweep_to_csv)
+from dpgrid.csvio import json_text, quote, write_csv, write_json, write_lines
 from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, SimTrace, run_query
 from dpgrid.laplace import PrivacyParams
 from dpgrid.series import MeasurementSeries, synth_pmu
@@ -197,10 +198,15 @@ def test_trace_writer_holds_no_column_of_texts(tmp_path):
 _SWEEP_AXES = ([0.1, 0.5, 3.0], [0.5, 2.0], [1.0, 2.0, 2.0])
 
 
+def write_sweep(path, theta, metadata=None):
+    """What the sweep command writes for _SWEEP_AXES: 18 cells, one share in this process."""
+    write_lines(path, _SWEEP_HEADER, _sweep_rows(*_SWEEP_AXES, theta)[1], metadata)
+
+
 @pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300], ids=["zero", "negative-zero", "tiny"])
 def test_sweep_deviation_texts_are_mu_stars_where_theta_moves_no_cell(tmp_path, theta):
     path, expected = tmp_path / "sweep.csv", tmp_path / "points.csv"
-    _write_sweep(path, *_sweep_grid(*_SWEEP_AXES, theta), theta, metadata={"config_hash": "beef"})
+    write_sweep(path, theta, metadata={"config_hash": "beef"})
     sweep_to_csv(impact_sweep(*_SWEEP_AXES, theta=theta), expected, metadata={"config_hash": "beef"})
     assert path.read_bytes() == expected.read_bytes()
     rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
@@ -213,27 +219,27 @@ def test_sweep_deviation_texts_are_mu_stars_where_theta_moves_no_cell(tmp_path, 
 def test_sweep_writer_formats_shared_texts_once(monkeypatch, tmp_path, theta, per_cell):
     """k1 and mu_star per cell, deviation too only where it differs, and each axis value and
     theta once."""
-    axes, solved = _sweep_grid(*_SWEEP_AXES, theta)
     calls = []
     monkeypatch.setattr(adversary, "repr", lambda x: calls.append(x) or float.__repr__(x),
                         raising=False)
-    _write_sweep(tmp_path / "sweep.csv", axes, solved, theta)
+    write_sweep(tmp_path / "sweep.csv", theta)
     assert len(calls) == per_cell * 18 + 8 + 1
 
 
 def test_sweep_writer_holds_no_column_of_texts(tmp_path):
-    """50,000 cells at theta 0, deviation sharing mu_star's texts: the writer's peak is the
-    two columns' bytes it compares, where holding one column of texts costs about 4.7 MiB."""
+    """50,000 cells at theta 0, deviation sharing mu_star's texts: the text columns are lazy, so
+    writing them peaks at the two columns' bytes they compare, where holding one column of texts
+    costs about 4.7 MiB.  A sweep share joins them a block of lines at a time."""
     axes, solved = _sweep_grid([0.05 + 0.01 * i for i in range(50)],
                                [0.25 * (i + 1) for i in range(50)],
                                [0.5 * (i + 1) for i in range(20)], 0.0)
     tracemalloc.start()
     try:
-        _write_sweep(tmp_path / "sweep.csv", axes, solved, 0.0)
+        write_csv(tmp_path / "sweep.csv", _SWEEP_HEADER, _sweep_columns(axes, solved, 0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, f"_write_sweep peaked at {peak / 2**20:.2f} MiB"
+    assert peak < 2 * 2**20, f"the sweep's columns peaked at {peak / 2**20:.2f} MiB"
 
 
 _PAYLOAD = {"epsilon": 0.1, "k1": 2.0000000000000004, "ids": ["pmu,1", 'pdc"1', "ä €", {}],

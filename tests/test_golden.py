@@ -11,8 +11,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from dpgrid.adversary import AttackProfile, _sweep_grid, _write_sweep
+from dpgrid.adversary import _SWEEP_HEADER, AttackProfile, _sweep_rows
 from dpgrid.cli import main
+from dpgrid.csvio import write_lines
 from dpgrid.gridsim import (
     Detector,
     Edge,
@@ -124,7 +125,8 @@ def test_sweep_csv_digest(tmp_path):
 def test_sweep_writer_digest_at_default_theta(tmp_path):
     """The sweep command's writer at the CLI's default theta, where deviation has mu_star's bits."""
     path = tmp_path / "sweep.csv"
-    _write_sweep(path, *_sweep_grid([0.1, 0.5], [0.5, 2.0], [1.0, 2.0], 0.0), 0.0, metadata=_META)
+    _, lines = _sweep_rows([0.1, 0.5], [0.5, 2.0], [1.0, 2.0], 0.0)
+    write_lines(path, _SWEEP_HEADER, lines, _META)
     assert _sha256_file(path) == SWEEP_ZERO_THETA_CSV_SHA256
 
 
