@@ -222,23 +222,14 @@ def _solve_cells(axes, ratio_of: dict, theta: float, first: int, last: int | Non
     return solved
 
 
-def _sweep_grid(epsilons, gammas, sensitivities, theta):
-    """Solve the grid in product order: the validated axes and the k1, mu_star, deviation columns.
-
-    Every cell is solved before anything returns, so the first faulty cell in product order
-    raises.
-    """
-    axes, ratio_of = _sweep_axes(epsilons, gammas, sensitivities, theta)
-    return axes, _solve_cells(axes, ratio_of, theta, 0, None)
-
-
 def impact_sweep(epsilons, gammas, sensitivities, theta: float = 0.0) -> list:
     """Best stealthy mean shift over a parameter grid.
 
     Returns one SweepPoint per (epsilon, gamma, sensitivity) cell, in
     product order, equal to AttackProfile.solve's.
     """
-    axes, solved = _sweep_grid(epsilons, gammas, sensitivities, theta)
+    axes, ratio_of = _sweep_axes(epsilons, gammas, sensitivities, theta)
+    solved = _solve_cells(axes, ratio_of, theta, 0, None)
     return [SweepPoint(e, g, s, theta, k1, mu, dev)
             for (e, g, s), k1, mu, dev in zip(product(*axes), *solved)]
 
@@ -254,7 +245,7 @@ def _sweep_columns(axes, solved, theta: float, first: int = 0) -> list:
     SweepPoint.
 
     Each axis value and theta is repr'd once; a cell's epsilon, gamma, sensitivity and theta
-    fields are their product, in _sweep_grid's order.  k1 and mu_star are formatted per cell.
+    fields are their product, in _solve_cells' order.  k1 and mu_star are formatted per cell.
     Where the deviation column has mu_star's bits, compared as whole columns and never by ==
     (theta is +-0.0, or too small to move any cell), it shares mu_star's texts through tee;
     the columns are read in lockstep, so the tee holds at most a block of texts.
@@ -283,16 +274,21 @@ def _sweep_rows(epsilons, gammas, sensitivities, theta) -> tuple:
 
     The axes and each distinct gamma's ratio are solved in this process; contiguous ranges of
     cells are then solved and formatted in shares.run's shares, one per CPU and each of at least
-    _FORK_CELLS cells.  Every share has returned when this returns, so the first faulty cell in
-    product order raises, as in one process, before any file is opened."""
+    _FORK_CELLS cells.  Every share has solved its cells when this returns, so the first faulty
+    cell in product order raises, as in one process, before any file is opened.  A share that
+    is the whole grid returns its lines unformatted, so writing them holds no column of texts;
+    where there are several, each share's lines are joined, so this process holds every
+    share's texts until they are written."""
     from . import shares
 
     axes, ratio_of = _sweep_axes(epsilons, gammas, sensitivities, theta)
     cells = len(axes[0]) * len(axes[1]) * len(axes[2])
 
-    def share(first: int, last: int) -> list:
+    def share(first: int, last: int):
         solved = _solve_cells(axes, ratio_of, theta, first, last)
         lines = csv_lines(_sweep_columns(axes, solved, theta, first))
+        if last - first == cells:
+            return lines
         # Joined a block at a time, so at most one block of line objects lives at once.
         return list(map("".join, iter(lambda: list(islice(lines, 4096)), [])))
 

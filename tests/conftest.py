@@ -16,11 +16,21 @@ settings.register_profile(
 settings.load_profile("package")
 
 
-@pytest.fixture(autouse=True)
-def _keep_affinity():
-    """dpgrid.shares pins this process to one CPU while it runs a share and then restores the
-    affinity set it read; tests fake that set, so each test gets the real one back."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    yield
-    if cpus is not None:
-        os.sched_setaffinity(0, cpus)
+@pytest.fixture
+def fake_affinity(monkeypatch):
+    """fake_affinity(cpus) makes os.sched_getaffinity, which dpgrid.shares reads, return
+    set(cpus), and returns a list that each os.fork then appends to.  dpgrid.shares gives the
+    process back the set it read after pinning it, a faked one too, so the test process gets
+    its real set back at teardown."""
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    fork = os.fork
+
+    def fake(cpus):
+        forks = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    yield fake
+    if real is not None:
+        os.sched_setaffinity(0, real)

@@ -137,21 +137,9 @@ def test_sweep_rejects_empty_axis(capsys):
     assert exc.value.code == 2
 
 
-def cpus(monkeypatch, count):
-    # The affinity set dpgrid.shares reads; returns the list the parent's os.fork calls append to.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    forks, fork = [], os.fork
-
-    def spy():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", spy)
-    return forks
-
-
 @pytest.mark.parametrize("theta", ["0.0", "33.18"])
-def test_sweep_bytes_do_not_depend_on_share_count(capsys, monkeypatch, tmp_path, theta):
+def test_sweep_bytes_do_not_depend_on_share_count(capsys, monkeypatch, fake_affinity, tmp_path,
+                                                  theta):
     # 70 cells, cut into 1, 2 or 3 shares of 23 and 24 cells; the fork cut-off is lowered so a
     # grid this small forks.
     monkeypatch.setattr(adversary, "_FORK_CELLS", 20)
@@ -160,7 +148,7 @@ def test_sweep_bytes_do_not_depend_on_share_count(capsys, monkeypatch, tmp_path,
                        zip(("epsilons", "gammas", "sensitivities"), axes)), "--theta", theta]
     outputs = []
     for count in (1, 2, 3):
-        forks = cpus(monkeypatch, count)
+        forks = fake_affinity(range(count))
         out_file = tmp_path / f"sweep-{count}.csv"
         code, out, err = run_cli(capsys, [*argv, "--out", str(out_file)])
         assert code == 0, err
@@ -173,9 +161,9 @@ def test_sweep_bytes_do_not_depend_on_share_count(capsys, monkeypatch, tmp_path,
     assert outputs[0] == outputs[1] == outputs[2] == expected.read_bytes()
 
 
-def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, monkeypatch, tmp_path):
+def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, fake_affinity, tmp_path):
     # The README's 48-cell example.
-    forks = cpus(monkeypatch, 2)
+    forks = fake_affinity(range(2))
     code, _, err = run_cli(capsys, ["sweep", "--epsilons", "0.05,0.1,0.2,0.4",
                                     "--gammas", "0.5,1,2,4", "--sensitivities", "1,2,4",
                                     "--out", str(tmp_path / "sweep.csv")])
@@ -184,8 +172,8 @@ def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, monkeypatch, t
 
 
 @pytest.mark.parametrize("count", [2, 3])
-def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeypatch, tmp_path,
-                                                                 count):
+def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeypatch,
+                                                                 fake_affinity, tmp_path, count):
     # Cells 4 and 5 of 6, epsilon 1e200 at both sensitivities, have no finite mean shift; they
     # lie in the last share, a child's, of 2 or 3.
     monkeypatch.setattr(adversary, "_FORK_CELLS", 1)
@@ -194,7 +182,7 @@ def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeyp
             "--out", str(out_file)]
     runs = []
     for cpu_count in (1, count):
-        forks = cpus(monkeypatch, cpu_count)
+        forks = fake_affinity(range(cpu_count))
         runs.append(run_cli(capsys, argv))
         assert len(forks) == cpu_count - 1
         assert not out_file.exists()

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgrid import adversary
-from dpgrid.adversary import (_SWEEP_HEADER, _sweep_columns, _sweep_grid, _sweep_rows,
-                              impact_sweep, sweep_to_csv)
+from dpgrid.adversary import (_SWEEP_HEADER, _solve_cells, _sweep_axes, _sweep_rows, impact_sweep,
+                              sweep_to_csv)
 from dpgrid.csvio import json_text, quote, write_csv, write_json, write_lines
 from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, SimTrace, run_query
 from dpgrid.laplace import PrivacyParams
@@ -226,20 +226,29 @@ def test_sweep_writer_formats_shared_texts_once(monkeypatch, tmp_path, theta, pe
     assert len(calls) == per_cell * 18 + 8 + 1
 
 
-def test_sweep_writer_holds_no_column_of_texts(tmp_path):
-    """50,000 cells at theta 0, deviation sharing mu_star's texts: the text columns are lazy, so
-    writing them peaks at the two columns' bytes they compare, where holding one column of texts
-    costs about 4.7 MiB.  A sweep share joins them a block of lines at a time."""
-    axes, solved = _sweep_grid([0.05 + 0.01 * i for i in range(50)],
-                               [0.25 * (i + 1) for i in range(50)],
-                               [0.5 * (i + 1) for i in range(20)], 0.0)
+def test_sweep_writer_holds_no_column_of_texts(fake_affinity, tmp_path):
+    """The sweep command's path on 50,000 cells at theta 0 in one share, as on one CPU or under
+    taskset -c 0, deviation sharing mu_star's texts: beyond the three columns of solved cells,
+    which are all solved before the file opens, it peaks under 2 MiB, most of it the two
+    columns' bytes it compares, where holding one column of texts costs about 4.7 MiB."""
+    axes = ([0.05 + 0.01 * i for i in range(50)], [0.25 * (i + 1) for i in range(50)],
+            [0.5 * (i + 1) for i in range(20)])
+    fake_affinity([0])
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "sweep.csv", _SWEEP_HEADER, _sweep_columns(axes, solved, 0.0))
-        peak = tracemalloc.get_traced_memory()[1]
+        solved = _solve_cells(*_sweep_axes(*axes, 0.0), 0.0, 0, None)
+        solved_bytes = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, f"the sweep's columns peaked at {peak / 2**20:.2f} MiB"
+    del solved
+    tracemalloc.start()
+    try:
+        write_lines(tmp_path / "sweep.csv", _SWEEP_HEADER, _sweep_rows(*axes, 0.0)[1])
+        peak = tracemalloc.get_traced_memory()[1] - solved_bytes
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 50_001
+    assert peak < 2 * 2**20, f"the sweep's path peaked {peak / 2**20:.2f} MiB above its cells"
 
 
 _PAYLOAD = {"epsilon": 0.1, "k1": 2.0000000000000004, "ids": ["pmu,1", 'pdc"1', "ä €", {}],

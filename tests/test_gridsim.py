@@ -661,21 +661,8 @@ def test_skip_then_draws_equals_rows_of_one_whole_call_draw(skipped, rows):
         assert part_injected[i].tobytes() == block[skipped:].tobytes()
 
 
-def cpus(monkeypatch, count):
-    # detection_rate's CPU count; returns the list the parent's os.fork calls append to.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    forks, fork = [], os.fork
-
-    def spy():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", spy)
-    return forks
-
-
 @pytest.mark.parametrize("n_runs", [1000, 1001])
-def test_detection_rate_does_not_depend_on_share_count(monkeypatch, n_runs):
+def test_detection_rate_does_not_depend_on_share_count(monkeypatch, fake_affinity, n_runs):
     golden = _attacked_tree()
     stacked = windowed_topology({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)})
     # Chunks of 100 runs on the golden tree (11 nodes and edges) and of 157 on the stacked one
@@ -683,7 +670,7 @@ def test_detection_rate_does_not_depend_on_share_count(monkeypatch, n_runs):
     monkeypatch.setattr(gridsim, "_CHUNK_BYTES", 100 * 32 * 48 * 11)
     rates = []
     for count in (1, 2, 3):
-        forks = cpus(monkeypatch, count)
+        forks = fake_affinity(range(count))
         rates.append((
             detection_rate(*golden, "hourly_mean", Detector(tau=6.0, window=12), n_runs, 11),
             detection_rate(*stacked, "sum", Detector(tau=6.0, window=6), n_runs, 11),
@@ -718,9 +705,10 @@ def failing_share(monkeypatch, fails):
     (lambda first: first == 600, "share from run 600 failed"),
     (lambda first: first == 0, "share from run 0 failed"),  # the children are killed
 ], ids=["every-child", "last-child", "parent"])
-def test_failing_share_reaches_the_caller_and_leaves_no_child(monkeypatch, fails, message):
+def test_failing_share_reaches_the_caller_and_leaves_no_child(monkeypatch, fake_affinity, fails,
+                                                              message):
     monkeypatch.setattr(gridsim, "_CHUNK_BYTES", 200 * 32 * 48 * 11)  # shares of 1, 2 and 2 chunks
-    forks = cpus(monkeypatch, 3)
+    forks = fake_affinity(range(3))
     failing_share(monkeypatch, fails)
     with pytest.raises(ValueError, match=message):
         detection_rate(*_attacked_tree(), "hourly_mean", Detector(tau=6.0, window=12), 1000, 11)
@@ -729,10 +717,10 @@ def test_failing_share_reaches_the_caller_and_leaves_no_child(monkeypatch, fails
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_fork_ignores_only_the_multithreaded_fork_warning(monkeypatch):
+def test_fork_ignores_only_the_multithreaded_fork_warning(monkeypatch, fake_affinity):
     # Python 3.12+ warns on os.fork in a process with threads, which OpenBLAS starts; pytest
     # makes a DeprecationWarning an error, so the fork must not let that one through.
-    cpus(monkeypatch, 2)
+    fake_affinity(range(2))
     fork = os.fork
 
     def warning_fork():
@@ -754,9 +742,9 @@ def test_fork_ignores_only_the_multithreaded_fork_warning(monkeypatch):
 
 
 @pytest.mark.parametrize("affinity", [True, False], ids=["one-cpu", "no-affinity"])
-def test_one_cpu_never_forks(monkeypatch, affinity):
+def test_one_cpu_never_forks(monkeypatch, fake_affinity, affinity):
     if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        fake_affinity([3])
     else:  # as outside Linux
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
 
