@@ -240,7 +240,7 @@ def sweep_to_csv(points, path, metadata: dict | None = None) -> None:
               metadata)
 
 
-def _sweep_columns(axes, solved, theta: float, first: int = 0) -> list:
+def _sweep_columns(axes, solved, theta: float, first: int) -> list:
     """The text columns of sweep_to_csv's rows for solved cells first.. of the grid, with no
     SweepPoint.
 

@@ -24,9 +24,7 @@ import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
 from .csvio import write_json
-from .laplace import PrivacyParams
 from .seeds import derive_rng
-from .series import MeasurementSeries
 
 _WARMUP_REPS = 3
 _KEY_BITS = 256
@@ -48,16 +46,15 @@ class BenchResult:
         if abs(self.speedup - expected) > 1e-9 * expected:
             raise ValueError("speedup must equal aes_seconds / dp_seconds")
 
-    def to_dict(self, include_machine: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = asdict(self)
-        if include_machine:
-            out["machine"] = {
-                "platform": platform.platform(),
-                "processor": _cpu_model(),
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "timestamp": datetime.now(timezone.utc).isoformat(),
-            }
+        out["machine"] = {
+            "platform": platform.platform(),
+            "processor": _cpu_model(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
         return out
 
     def to_json(self, path, metadata: dict | None = None) -> None:
@@ -97,31 +94,18 @@ def _decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     return unpadder.update(padded) + unpadder.finalize()
 
 
-def _default_attacker() -> AttackProfile:
-    return AttackProfile.solve(2.0, PrivacyParams(sensitivity=2.0, epsilon=0.1, theta=0.0))
-
-
-def run_bench(
-    batch,
-    reps: int = 30,
-    seed: int = 0,
-    attacker: AttackProfile | None = None,
-) -> BenchResult:
+def run_bench(batch, attacker: AttackProfile, reps: int = 30, seed: int = 0) -> BenchResult:
     """Time both manipulation paths on one batch.
 
-    batch is a MeasurementSeries (present readings are used) or a float
-    array.  Runs reps repetitions of each path on identical plaintext;
-    the first _WARMUP_REPS repetitions are excluded from the medians.
+    batch is a float array; attacker draws the noise both paths add.
+    Runs reps repetitions of each path on identical plaintext; the
+    first _WARMUP_REPS repetitions are excluded from the medians.
     """
     if reps < 10:
         raise ValueError(f"reps must be at least 10, got {reps}")
-    if isinstance(batch, MeasurementSeries):
-        values = batch.present_values()
-    else:
-        values = np.asarray(batch, dtype=np.float64)
+    values = np.asarray(batch, dtype=np.float64)
     if values.size == 0:
         raise ValueError("batch is empty")
-    profile = attacker if attacker is not None else _default_attacker()
     gen = derive_rng(seed, "bench")
 
     key = gen.bytes(_KEY_BITS // 8)
@@ -133,13 +117,13 @@ def run_bench(
     aes_times = np.empty(reps)
     for i in range(reps):
         t0 = time.perf_counter()
-        eta = sample_attack_noise(profile, gen)
+        eta = sample_attack_noise(attacker, gen)
         _ = values + eta
         dp_times[i] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         recovered = np.frombuffer(_decrypt(key, iv0, ciphertext), dtype="<f8")
-        eta = sample_attack_noise(profile, gen)
+        eta = sample_attack_noise(attacker, gen)
         tampered = recovered + eta
         iv = gen.bytes(16)
         _ = iv + _encrypt(key, iv, tampered.tobytes())

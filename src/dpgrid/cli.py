@@ -222,7 +222,7 @@ def _cmd_bench(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     attacker = AttackProfile.solve(
         args.gamma, PrivacyParams(sensitivity=args.sensitivity, epsilon=args.epsilon)
     )
-    result = run_bench(batch, reps=args.reps, seed=args.seed, attacker=attacker)
+    result = run_bench(batch, attacker, reps=args.reps, seed=args.seed)
     _emit_json({**result.to_dict(), "config_hash": config_hash()}, args.out)
     return 0
 

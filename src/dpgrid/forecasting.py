@@ -102,5 +102,4 @@ def forecast(series: MeasurementSeries, cfg: ForecastConfig) -> MeasurementSerie
         timestamps=future,
         values=predicted,
         mask=np.ones(cfg.horizon, dtype=bool),
-        channel=series.channel,
     )

@@ -24,11 +24,10 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
-from .adversary import SweepPoint, impact_sweep, sweep_to_csv  # re-exported
 from .csvio import quote, write_csv, write_json
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
-from .series import MeasurementSeries, resample
+from .series import resample
 
 QUERY_KINDS = ("hourly_mean", "sum")
 _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
@@ -139,10 +138,7 @@ class GridTopology:
             outgoing[e.child] += 1
             incoming[e.parent] += 1
         for n in nodes:
-            if n.layer == Layer.MASTER:
-                if outgoing[n.id] != 0:
-                    raise ValueError("MASTER node cannot have outgoing edges")
-            elif outgoing[n.id] != 1:
+            if n.layer != Layer.MASTER and outgoing[n.id] != 1:
                 raise ValueError(f"node {n.id} needs exactly one parent edge, has {outgoing[n.id]}")
             if n.layer != Layer.PMU and incoming[n.id] == 0:
                 raise ValueError(f"aggregating node {n.id} has no children")

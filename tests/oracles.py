@@ -146,7 +146,7 @@ def _parse_timestamp(text: str) -> np.datetime64:
             raise ValueError(str(exc)) from exc
 
 
-def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:
+def ingest_csv_by_rows(path) -> MeasurementSeries:
     """Row-by-row measurement CSV reader: one datetime64 and one float per row."""
     rows = []
     with open(path, newline="") as fh:
@@ -189,7 +189,6 @@ def ingest_csv_by_rows(path, channel: str = "power_kwh") -> MeasurementSeries:
         timestamps=np.array(timestamps, dtype="datetime64[us]"),
         values=np.array(values),
         mask=np.array(mask),
-        channel=channel,
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from dpgrid.adversary import (
     AttackProfile,
     attack_pdf,
+    impact_sweep,
     kl_from_k1,
     optimal_impact,
     sample_attack_noise,
@@ -22,7 +23,7 @@ from dpgrid.adversary import (
 from dpgrid.bench import run_bench
 from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.forecasting import ForecastConfig
-from dpgrid.gridsim import Edge, GridTopology, Layer, Node, impact_sweep, run_query
+from dpgrid.gridsim import Edge, GridTopology, Layer, Node, run_query
 from dpgrid.laplace import Dataset, PrivacyParams, indistinguishability_check
 from dpgrid.qos import cost_analysis, dp_protect, inject_attack, utility_report
 from dpgrid.seeds import derive_rng, derive_seed

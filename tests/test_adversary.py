@@ -165,6 +165,11 @@ def test_profile_rejects_k1_at_or_below_scale():
         AttackProfile(gamma=1.0, k1=5.0, base=BASE)
 
 
+def test_profile_rejects_negative_budget():
+    with pytest.raises(ValueError, match="stealth budget must be non-negative, got -1.0"):
+        AttackProfile(gamma=-1.0, k1=26.0, base=BASE)
+
+
 def test_profile_requires_noise_to_hide_in():
     with pytest.raises(ValueError, match="positive noise scale"):
         AttackProfile(gamma=1.0, k1=1.0, base=PrivacyParams(0.0, 1.0))

@@ -6,7 +6,9 @@ import pytest
 from dpgrid.adversary import AttackProfile
 from dpgrid.bench import BenchResult, _decrypt, _encrypt, run_bench
 from dpgrid.laplace import PrivacyParams
-from dpgrid.series import synth_pmu
+
+# The bench command's default attacker: gamma 2 at epsilon 0.1 and sensitivity 2.
+ATTACKER = AttackProfile.solve(2.0, PrivacyParams(sensitivity=2.0, epsilon=0.1))
 
 
 def test_encrypt_decrypt_round_trip():
@@ -31,13 +33,13 @@ def test_result_consistency_enforced():
 
 def test_run_bench_validation():
     with pytest.raises(ValueError, match="reps"):
-        run_bench(np.ones(100), reps=5)
+        run_bench(np.ones(100), ATTACKER, reps=5)
     with pytest.raises(ValueError, match="empty"):
-        run_bench(np.array([]), reps=10)
+        run_bench(np.array([]), ATTACKER, reps=10)
 
 
 def test_run_bench_smoke():
-    result = run_bench(np.ones(2000), reps=10, seed=1)
+    result = run_bench(np.ones(2000), ATTACKER, reps=10, seed=1)
     assert result.batch_size == 2000
     assert result.reps == 10
     assert result.dp_seconds > 0.0
@@ -47,29 +49,21 @@ def test_run_bench_smoke():
     assert result.speedup > 1.0
 
 
-def test_run_bench_accepts_series_and_skips_masked():
-    series = synth_pmu(days=3, missing_fraction=0.25, seed=2)
-    result = run_bench(series, reps=10, seed=0)
-    assert result.batch_size == int(series.mask.sum())
-
-
 def test_run_bench_custom_attacker():
     attacker = AttackProfile.solve(0.5, PrivacyParams(1.0, 1.0))
-    result = run_bench(np.ones(1000), reps=10, seed=3, attacker=attacker)
+    result = run_bench(np.ones(1000), attacker, reps=10, seed=3)
     assert result.speedup > 0.0
 
 
 def test_to_dict_machine_metadata():
-    result = run_bench(np.ones(1000), reps=10, seed=0)
+    result = run_bench(np.ones(1000), ATTACKER, reps=10, seed=0)
     full = result.to_dict()
     assert {"dp_seconds", "aes_seconds", "speedup", "batch_size", "reps", "machine"} <= set(full)
     assert "numpy" in full["machine"]
-    bare = result.to_dict(include_machine=False)
-    assert "machine" not in bare
 
 
 def test_to_json_with_metadata(tmp_path):
-    result = run_bench(np.ones(1000), reps=10, seed=0)
+    result = run_bench(np.ones(1000), ATTACKER, reps=10, seed=0)
     path = tmp_path / "bench.json"
     result.to_json(path, metadata={"config_hash": "abcd"})
     payload = json.loads(path.read_text())

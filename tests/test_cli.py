@@ -210,10 +210,12 @@ def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeyp
      "sweep", "unrecognized arguments: --bogus 1"),
     (["calibrate", "--sensitivity", "2", "--gamma", "2"],
      "calibrate", "the following arguments are required: --max-deviation"),
+    (["simulate", "--topology", "topo.json", "--series", "pmu1"],
+     "simulate", "argument --series: expected NODE=PATH, got 'pmu1'"),
     (["nosuch"], None, "argument command: invalid choice: 'nosuch'"),
     ([], None, "the following arguments are required: command"),
 ], ids=["impact-theta", "qos-days", "sweep-empty-axis", "sweep-bad-axis", "sweep-unknown-flag",
-        "calibrate-missing", "unknown-command", "no-command"])
+        "calibrate-missing", "simulate-series-without-node", "unknown-command", "no-command"])
 def test_argparse_rejection_exits_2_with_json(capsys, tmp_path, argv, command, needle):
     out_file = tmp_path / "out"
     if argv and argv[0] != "calibrate":
@@ -784,6 +786,8 @@ def _overflowing_bucket(tmp_path):
      "topology.nodes[0].id must be a JSON string, got 1"),
     ({"nodes": _CHAIN_NODES, "edges": [{"child": {"a": 1}, "parent": "pdc1"}, _GOOD_EDGES[1]]},
      [], "topology.edges[0].child must be a JSON string, got {'a': 1}"),
+    (_CHAIN, ["--synth-days", "1", "--tau", "6", "--window", "24", "--n-runs", "1000"],
+     "series too short for detector warm-up: 24 steps, window 24"),
 ], ids=["list", "nodes-not-list", "window-not-list", "n-runs-without-tau", "node-without-id",
         "attacker-without-gamma", "zero-n-runs", "attacker-scale-underflow", "null-node-id",
         "null-edge-child", "null-edge-parent", "fractional-window", "boolean-window",
@@ -792,7 +796,8 @@ def _overflowing_bucket(tmp_path):
         "series-not-a-pmu", "non-finite-sum", "policy-negative-sensitivity",
         "attacker-huge-gamma", "reversed-window", "stray-series-missing-file",
         "resample-overflow", "boolean-sensitivity", "boolean-gamma", "string-gamma",
-        "string-window", "string-policy-epsilon", "integer-node-id", "object-edge-child"])
+        "string-window", "string-policy-epsilon", "integer-node-id", "object-edge-child",
+        "shorter-than-warm-up"])
 def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra, needle):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(topology))

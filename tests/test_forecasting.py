@@ -83,6 +83,15 @@ def test_short_series_rejected():
         holt_winters_forecast(np.ones(40), season_length=24, horizon=1)
     with pytest.raises(ValueError, match="series too short"):
         seasonal_naive_forecast(np.ones(40), season_length=24, horizon=1)
+    one = MeasurementSeries(np.array(["2020-01-01T00"], "datetime64[us]"), np.ones(1),
+                            np.ones(1, dtype=bool))
+    with pytest.raises(ValueError, match="series too short: need at least 48 points, got 1"):
+        forecast(one, ForecastConfig(horizon=1))
+
+
+def test_two_dimensional_values_rejected():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        seasonal_naive_forecast(np.ones((2, 48)), season_length=24, horizon=1)
 
 
 def test_non_finite_rejected():
@@ -101,7 +110,6 @@ def test_forecast_series_continues_time_grid():
     step = np.timedelta64(1, "h")
     assert out.timestamps[0] - s.timestamps[-1] == step
     assert np.all(np.diff(out.timestamps) == step)
-    assert out.channel == s.channel
 
 
 def test_forecast_requires_complete_series():

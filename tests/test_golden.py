@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from dpgrid.adversary import _SWEEP_HEADER, AttackProfile, _sweep_rows
+from dpgrid.adversary import _SWEEP_HEADER, AttackProfile, _sweep_rows, impact_sweep, sweep_to_csv
 from dpgrid.cli import main
 from dpgrid.csvio import write_lines
 from dpgrid.gridsim import (
@@ -21,9 +21,7 @@ from dpgrid.gridsim import (
     Layer,
     Node,
     detection_rate,
-    impact_sweep,
     run_query,
-    sweep_to_csv,
 )
 from dpgrid.laplace import PrivacyParams
 from dpgrid.series import export_csv, synth_pmu

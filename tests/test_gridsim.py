@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpgrid import gridsim
-from dpgrid.adversary import AttackProfile, sample_attack_noise
+from dpgrid.adversary import AttackProfile, impact_sweep, sample_attack_noise, sweep_to_csv
 from dpgrid.gridsim import (
     DetectionRates,
     Detector,
@@ -20,11 +20,9 @@ from dpgrid.gridsim import (
     Layer,
     Node,
     detection_rate,
-    impact_sweep,
     load_topology,
     run_query,
     save_topology,
-    sweep_to_csv,
     topology_from_dict,
     topology_to_dict,
 )
@@ -85,10 +83,14 @@ def test_topology_validation_errors():
         GridTopology((pmu, master), (Edge("a", "ghost"),))
     with pytest.raises(ValueError, match="strictly higher layer"):
         GridTopology((pmu, pdc, master), (Edge("b", "a"), Edge("a", "m"), Edge("b", "m")))
+    with pytest.raises(ValueError, match="strictly higher layer"):  # out of the MASTER
+        GridTopology((pmu, pdc, master), (Edge("a", "b"), Edge("b", "m"), Edge("m", "b")))
     with pytest.raises(ValueError, match="exactly one parent edge"):
         GridTopology((pmu, master), ())
     with pytest.raises(ValueError, match="no children"):
         GridTopology((pmu, pdc, master), (Edge("a", "m"), Edge("b", "m")))
+    with pytest.raises(ValueError, match="dp_policy keys must be Layer members"):
+        GridTopology((pmu, master), (Edge("a", "m"),), {"PMU": PrivacyParams(1.0, 1.0)})
     for window in ((10.5, 20.5), (True, 5), (-1, 5), (5, 4), (0, math.inf), (0, math.nan),
                    (1, 2, 3), (1,), 5, "ab", (None, 3)):
         with pytest.raises(ValueError, match="bad attack window"):

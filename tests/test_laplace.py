@@ -235,6 +235,16 @@ def test_indistinguishability_requires_enough_trials():
         indistinguishability_check(x, x_adj, PrivacyParams(1.0, 1.0), 10_000, 40, rng=0)
 
 
+def test_indistinguishability_rejects_too_few_bins_and_zero_scale_override():
+    x, x_adj = _adjacent_pair(1.0)
+    with pytest.raises(ValueError, match="n_bins must be at least 3, got 2"):
+        indistinguishability_check(x, x_adj, PrivacyParams(1.0, 1.0), 100_000, 2, rng=0)
+    with pytest.raises(ValueError, match="scale_override must be positive"):
+        indistinguishability_check(
+            x, x_adj, PrivacyParams(1.0, 1.0), 100_000, 40, rng=0, scale_override=0.0
+        )
+
+
 def test_indistinguishability_needs_populated_bins():
     x, x_adj = _adjacent_pair(1.0)
     with pytest.raises(ValueError, match="well-populated"):

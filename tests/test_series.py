@@ -306,18 +306,20 @@ _NUL_ERROR = None if sys.version_info >= (3, 11) else "row 4: line contains NUL"
     (_PLAIN.rstrip("\n"), "split", None),
     ("# config_hash=abc\n" + _PLAIN.replace("\n", "\r\n"), "split", None),
     (_PLAIN.replace("\n", "\r\n").rstrip("\r\n"), "split", None),
+    ("# config_hash=abc\n#", "csv.reader", "empty file: {path}"),
 ], ids=["blank-line-before-header", "indented-comment-before-header",
         "quoted-metadata-spans-newline", "comment-row-below-header", "lone-cr-line-end",
         "wrong-width-row", "widths-that-cancel", "nul-in-value", "cr-before-crlf",
         "oversized-field", "oversized-metadata-field", "field-at-limit", "leading-metadata",
-        "no-trailing-newline", "crlf-rows-as-written", "crlf-no-trailing-newline"])
+        "no-trailing-newline", "crlf-rows-as-written", "crlf-no-trailing-newline",
+        "only-metadata-no-trailing-newline"])
 def test_ingest_path_and_result(tmp_path, text, path_taken, error):
     path = _write(tmp_path, text)
     assert _ingest_path(path) == path_taken
     outcome = _ingest_outcome(ingest_csv, path)
     assert outcome == _ingest_outcome(ingest_csv_by_rows, path)
     if error:
-        assert outcome == error
+        assert outcome == error.format(path=path)
     else:
         assert isinstance(outcome, tuple)
 
@@ -384,8 +386,6 @@ def test_series_validation():
         MeasurementSeries(ts[::-1].copy(), np.array([1.0, 2.0]), np.array([True, True]))
     with pytest.raises(ValueError, match="finite"):
         MeasurementSeries(ts, np.array([1.0, np.inf]), np.array([True, True]))
-    with pytest.raises(ValueError, match="unknown channel"):
-        MeasurementSeries(ts, np.array([1.0, 2.0]), np.array([True, True]), channel="amps")
 
 
 def test_series_arrays_read_only():
@@ -486,6 +486,14 @@ def test_resample_rejects_unknown_period():
     s = synth_pmu(days=1, seed=0)
     with pytest.raises(ValueError):
         resample(s, "week")
+
+
+def test_resample_rejects_unknown_aggregation_and_empty_series():
+    with pytest.raises(ValueError, match="how must be 'mean' or 'sum', got 'median'"):
+        resample(synth_pmu(days=1, seed=0), "hour", how="median")
+    empty = MeasurementSeries(np.array([], "datetime64[us]"), np.array([]), np.array([], bool))
+    with pytest.raises(ValueError, match="cannot resample an empty series"):
+        resample(empty, "hour")
 
 
 # -------------------------------------------------------------------- synth
