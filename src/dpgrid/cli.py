@@ -128,9 +128,19 @@ def _cmd_sweep(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     return 0
 
 
+# The fewest --series files a forked share of simulate's ingest is given.  A fork, and its
+# series' trip back through the pipe, cost about what ingesting this many files in the parent
+# would: on 2 vCPUs, with wide's quarter-hour files (medians of 15 alternating rounds), 6 files
+# took 14.1 ms in one process and 14.4 ms in two shares, 8 files 18.8 and 17.2 ms, 16 files
+# 37.9 and 27.4 ms, and 100 files 230 and 128 ms.
+_FORK_FILES = 8
+
+
 def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
     from dataclasses import asdict
+    from itertools import chain
 
+    from . import shares
     from .gridsim import Detector, detection_rate, load_topology, run_query
     from .seeds import derive_seed
     from .series import ingest_csv, synth_pmu
@@ -144,7 +154,15 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[], str]) -> i
     if stray:
         raise ValueError(f"--series names node(s) that are not PMUs of the topology: "
                          f"{', '.join(stray)}")
-    series_map = {node: ingest_csv(path) for node, path in series_paths.items()}
+    paths = list(series_paths.values())
+
+    def ingest(first: int, last: int) -> list:
+        return [ingest_csv(path) for path in paths[first:last]]
+
+    # Contiguous shares of the files in argument order: the lowest failing share raises, so the
+    # first bad file is the one named, as in one process.
+    series_map = dict(zip(series_paths, chain.from_iterable(
+        shares.run(len(paths), ingest, most=len(paths) // _FORK_FILES))))
     if args.synth_days:
         for pmu in topology.pmu_ids():
             if pmu not in series_map:
@@ -359,7 +377,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow ends the run
             # Hashed when first asked, so simulate checks its --series ids before reading files.
             return args.func(args, functools.cache(lambda: _config_hash(args)))
-    except (ValueError, OSError, KeyError, RuntimeWarning) as exc:
+    except (ValueError, OSError, KeyError, MemoryError, RuntimeWarning) as exc:
         print(json.dumps({"error": str(exc), "command": args.command}), file=sys.stderr)
         return 2
 

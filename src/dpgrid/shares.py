@@ -1,12 +1,12 @@
 """Contiguous shares of a job, run across the CPUs the process may run on; stdlib only.
 
-A job of whole units (Monte-Carlo chunks, sweep cells) is cut into one contiguous share per CPU
-in os.sched_getaffinity(0).  This process runs the first share and a forked child each other
-one; a child sends its result, or the exception it met, pickled down a pipe.  Where the kernel
-does not balance load across the process's cpuset (cgroup v1 sched_load_balance 0 on its whole
-path), a forked child stays on its parent's CPU and the two take turns, so there each share's
-process is pinned to its own CPU.  Anywhere else the kernel spreads the shares, and pins that
-always chose the lowest CPUs would pile concurrent processes onto them.
+A job of whole units (Monte-Carlo chunks, sweep cells, simulate's series files) is cut into one
+contiguous share per CPU in os.sched_getaffinity(0).  This process runs the first share and a
+forked child each other one; a child sends its result, or the exception it met, pickled down a
+pipe.  Where the kernel does not balance load across the process's cpuset (cgroup v1
+sched_load_balance 0 on its whole path), a forked child stays on its parent's CPU and the two take
+turns, so there each share's process is pinned to its own CPU.  Anywhere else the kernel spreads
+the shares, and pins that always chose the lowest CPUs would pile concurrent processes onto them.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgrid import adversary
+from dpgrid import adversary, cli, gridsim
 from dpgrid.adversary import AttackProfile, impact_sweep, sweep_to_csv
 from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.cli import main
@@ -193,6 +193,132 @@ def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeyp
                                "attacker's mean shift is not finite"}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _fan(capsys, tmp_path, files):
+    """A topology of `files` PMUs under one PDC, pmu0's edge attacked, and the --series
+    arguments of one synth-written file per PMU, in PMU order."""
+    params = PrivacyParams(2.0, 0.5)
+    pmus = [f"pmu{i}" for i in range(files)]
+    topo = GridTopology(
+        nodes=(*(Node(pmu, Layer.PMU) for pmu in pmus), Node("pdc1", Layer.PDC),
+               Node("m", Layer.MASTER)),
+        edges=(Edge("pmu0", "pdc1", attacker=AttackProfile.solve(2.0, params),
+                    attack_window=(10, 30)),
+               *(Edge(pmu, "pdc1") for pmu in pmus[1:]), Edge("pdc1", "m")),
+        dp_policy={Layer.PMU: params},
+    )
+    save_topology(topo, tmp_path / "fan.json")
+    series = []
+    for i, pmu in enumerate(pmus):
+        path = tmp_path / f"{pmu}.csv"
+        code, _, err = run_cli(capsys, ["synth", "--days", "2", "--seed", str(i),
+                                        "--out", str(path)])
+        assert code == 0, err
+        series += ["--series", f"{pmu}={path}"]
+    return ["simulate", "--topology", str(tmp_path / "fan.json"), *series]
+
+
+def test_simulate_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch, fake_affinity,
+                                                           tmp_path):
+    # Three shares' worth of files: 1, 2 or 3 faked CPUs cut them into that many shares.
+    files = 3 * cli._FORK_FILES
+    argv = _fan(capsys, tmp_path, files)
+    paths = argv[4::2]
+    real_run_query = gridsim.run_query
+    seen = []  # (forks so far, series map) as each run's query starts, after ingest
+
+    def spy(topology, series_map, *args, **kwargs):
+        seen.append((len(forks), series_map))
+        return real_run_query(topology, series_map, *args, **kwargs)
+
+    monkeypatch.setattr(gridsim, "run_query", spy)
+    outputs = []
+    for count in (1, 2, 3):
+        forks = fake_affinity(range(count))
+        trace_file = tmp_path / f"trace-{count}.csv"
+        code, out, err = run_cli(capsys, [*argv, "--tau", "6", "--window", "12",
+                                          "--n-runs", "1000", "--trace-out", str(trace_file)])
+        assert code == 0, err
+        assert seen[-1][0] == count - 1
+        payload = parse_json(out)
+        assert payload.pop("trace_out") == str(trace_file)
+        outputs.append((payload, trace_file.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    for _, series_map in seen:
+        assert list(series_map) == [f"pmu{i}" for i in range(files)]
+        for path, got in zip(paths, series_map.values()):
+            want = ingest_csv(path.split("=", 1)[1])
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.mask.tobytes() == want.mask.tobytes()
+
+
+def test_simulate_below_the_ingest_cut_off_runs_in_one_process(capsys, fake_affinity, tmp_path):
+    # Too few files for two shares of at least _FORK_FILES each, on any number of CPUs.
+    argv = _fan(capsys, tmp_path, 2 * cli._FORK_FILES - 1)
+    forks = fake_affinity(range(3))
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert forks == []
+
+
+def _bad_timestamp(path):
+    path.write_text("timestamp,value\n2018-01-01T00:00:00,1.0\nnot-a-time,2.0\n")
+    return "row 3: bad timestamp 'not-a-time'"
+
+
+def _missing(path):
+    path.unlink()
+    return f"[Errno 2] No such file or directory: '{path}'"
+
+
+@pytest.mark.parametrize("fault", [_bad_timestamp, _missing], ids=["bad-timestamp", "missing"])
+@pytest.mark.parametrize("count", [2, 3])
+def test_bad_series_file_in_a_childs_share_exits_2_as_in_one_process(capsys, fake_affinity,
+                                                                    tmp_path, fault, count):
+    # The last of 24 files lies in the last share, a child's, of 2 or 3.
+    argv = _fan(capsys, tmp_path, 24)
+    needle = fault(tmp_path / "pmu23.csv")
+    runs = []
+    for cpu_count in (1, count):
+        forks = fake_affinity(range(cpu_count))
+        runs.append(run_cli(capsys, argv))
+        assert len(forks) == cpu_count - 1
+    assert runs[0] == runs[1]
+    code, out, err = runs[1]
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "simulate", "error": needle}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("first, second", [(3, 20), (10, 20)], ids=["parents-share", "childs"])
+@pytest.mark.parametrize("faults", [(_bad_timestamp, _missing), (_missing, _bad_timestamp)],
+                         ids=["timestamp-then-missing", "missing-then-timestamp"])
+def test_first_bad_series_file_in_argument_order_is_named(capsys, fake_affinity, tmp_path,
+                                                          first, second, faults):
+    # Three shares of 8 files: the bad files lie in two different ones.
+    argv = _fan(capsys, tmp_path, 24)
+    needle = faults[0](tmp_path / f"pmu{first}.csv")
+    faults[1](tmp_path / f"pmu{second}.csv")
+    forks = fake_affinity(range(3))
+    code, out, err = run_cli(capsys, argv)
+    assert len(forks) == 2
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "simulate", "error": needle}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_in_shares_skips_a_nodes_earlier_missing_file(capsys, fake_affinity, tmp_path):
+    argv = _fan(capsys, tmp_path, 24)
+    forks = fake_affinity(range(3))
+    expected = run_cli(capsys, argv)
+    assert expected[0] == 0, expected[2]
+    missing = tmp_path / "missing.csv"
+    assert run_cli(capsys, [*argv[:3], "--series", f"pmu23={missing}", *argv[3:]]) == expected
+    assert len(forks) == 4
 
 
 # A value or an argument that argparse itself rejects: the same JSON error and exit code as a
@@ -499,6 +625,30 @@ def test_validation_error_exits_2_with_json(capsys):
     payload = parse_json(err)
     assert payload["command"] == "calibrate"
     assert payload["error"]
+
+
+# numpy's _ArrayMemoryError, for an array larger than the host can give, is a MemoryError.
+@pytest.mark.parametrize("argv", [
+    ["synth", "--days", "100000000", "--out", "s.csv"],
+    ["qos", "--epsilon", "0.1", "--gamma", "0.5", "--sensitivity", "2", "--days", "100000000"],
+    ["simulate", "--topology", "topo.json", "--synth-days", "100000000"],
+], ids=["synth", "qos", "simulate"])
+def test_refused_allocation_exits_2_with_json(capsys, monkeypatch, tmp_path, topology_file,
+                                              argv):
+    import dpgrid.series
+
+    message = "Unable to allocate 17.9 GiB for an array with shape (2400000000,)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dpgrid.series, "synth_pmu", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, [str(topology_file) if a == "topo.json" else a
+                                      for a in argv])
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": argv[0], "error": message}
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_unwritable_out_exits_2_and_prints_nothing(capsys, tmp_path):
