@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from typing import Iterator
 
 _SPECIAL = frozenset(',"\r\n')
@@ -30,10 +31,59 @@ def csv_lines(columns) -> Iterator[str]:
 def write_lines(path, header, lines, metadata: dict | None = None) -> None:
     """write_csv with its data lines given as texts of whole lines, such as csv_lines' joined."""
     with open(path, "w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(map(quote, header)) + "\r\n")
+        _write_head(fh, header, metadata)
         fh.writelines(lines)
+
+
+def write_shares(path, header, units: int, lines, most: int, metadata: dict | None = None) -> None:
+    """write_lines with the data lines lines(first, last) of the shares of range(units) that
+    shares.run cuts, in at most `most` shares, and runs across the CPUs.
+
+    This process writes the metadata and header, then its own share, straight into the file.  Each
+    forked share writes its lines into its own unlinked temporary file in the output's directory,
+    opened before the fork; when every share is done, their bytes are copied into the file in
+    share order.  No process holds its share's text: each writes lines as lines() yields them.
+    If any share fails, the file is removed and the lowest failing share's error raised.
+    """
+    import shutil
+    import tempfile
+
+    from . import shares
+
+    bounds = shares._cut(units, most)[1]
+    spills = []
+    with open(path, "w", newline="") as out:
+        try:
+            _write_head(out, header, metadata)
+            out.flush()  # a forked child inherits the buffer too: it must be empty
+            for _ in bounds[2:]:
+                spills.append(tempfile.TemporaryFile(
+                    "w+", encoding=out.encoding, newline="",
+                    dir=os.path.dirname(os.path.abspath(path))))
+            spill_of = dict(zip(bounds[1:], spills))
+
+            def share(first: int, last: int) -> None:
+                fh = spill_of.get(first, out)
+                fh.writelines(lines(first, last))
+                fh.flush()
+
+            shares.run(units, share, most)
+            for spill in spills:
+                spill.seek(0)
+                shutil.copyfileobj(spill.buffer, out.buffer)
+        except BaseException:
+            os.unlink(path)
+            raise
+        finally:
+            for spill in spills:
+                spill.close()
+
+
+def _write_head(fh, header, metadata: dict | None) -> None:
+    """The '# key=value' metadata lines, then the header line."""
+    for key, value in (metadata or {}).items():
+        fh.write(f"# {key}={value}\n")
+    fh.write(",".join(map(quote, header)) + "\r\n")
 
 
 def json_text(payload: dict, metadata: dict | None = None) -> str:

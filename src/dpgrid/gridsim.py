@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
-from .csvio import quote, write_csv, write_json
+from .csvio import csv_lines, quote, write_json, write_shares
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
 from .series import resample
@@ -37,6 +37,12 @@ _TRACE_HEADER = ("timestep", "timestamp", "child", "parent", "true_value",
 # covers each edge's draws and injections, the stack both walks write into, and the detector's
 # cumsum and deviations; the stack and the detector's buffers are allocated once per call.
 _CHUNK_BYTES = 1 << 21
+# The fewest trace rows a share of SimTrace.to_csv is given.  A fork, and the copy of its spill
+# file back, cost about what writing 5,000 rows in one process would: on 2 vCPUs, with slices of
+# wide's trace (105 edges, medians of 31 alternating rounds), 4,200 rows took 11.2 ms in one
+# process and 13.8 ms in two shares, 8,400 rows 18.0 and 20.0 ms, 10,500 rows 24.4 and 22.7 ms,
+# 16,800 rows 33.0 and 29.7 ms, and 75,600 rows (15 rounds) 162 and 100 ms.
+_FORK_ROWS = 8192
 
 
 class Layer(IntEnum):
@@ -193,43 +199,52 @@ class SimTrace:
     def to_csv(self, path, metadata: dict | None = None) -> None:
         """One row per (timestep, edge): timesteps in order, edges in edge_keys order.
 
-        The columns interleave lazily, so no row exists before it is written.  Flags are
-        written as 0 or 1 from the bytes of each column as bools, and node ids through
-        csvio.quote.  Each edge's float column takes its texts, all of them repr's, from one
-        of three sources, chosen by the bits of the whole column: "0.0" repeated where every
-        value is +0.0; for a delivered column with true_value's bits, true_value's own texts,
-        shared through itertools.tee; and repr of each value otherwise.
+        The timesteps are cut into contiguous shares, written across the CPUs by
+        csvio.write_shares, one share per _FORK_ROWS rows at most.  Within a share the columns
+        interleave lazily, so no row exists before it is written.  Flags are written as 0 or 1
+        from the bytes of each column as bools, and node ids through csvio.quote.  Each edge's
+        float column takes its texts, all of them repr's, from one of three sources, chosen by
+        the bits of the column's slice in the share: "0.0" repeated where every value is +0.0;
+        for a delivered slice with true_value's bits, true_value's own texts, shared through
+        itertools.tee; and repr of each value otherwise.  Each choice gives repr's texts, so
+        the bytes do not depend on the cut.
         """
         keys = self.edge_keys
+        pairs = [f"{quote(c)},{quote(p)}" for c, p in keys]
 
         def texts(values: np.ndarray) -> Iterator[str]:
             return map(float.__repr__, values) if values.view(np.int64).any() else \
                 repeat("0.0", len(values))
 
-        true, delivered = [], []
-        for k in keys:
-            column = texts(self.true_values[k])
-            if np.array_equal(self.delivered[k].view(np.int64), self.true_values[k].view(np.int64)):
-                column, copy = tee(column)
-            else:
-                copy = texts(self.delivered[k])
-            true.append(column)
-            delivered.append(copy)
-
         def per_edge(columns: list) -> Iterator[str]:
             return chain.from_iterable(zip(*columns))
 
-        stamps = np.datetime_as_string(self.timestamps, unit="s").tolist()
-        write_csv(path, _TRACE_HEADER, (
-            map(",".join, product(map("{},{}".format, range(self.n_timesteps), stamps),
-                                  [f"{quote(c)},{quote(p)}" for c, p in keys])),
-            per_edge(true),
-            *(per_edge([texts(arrays[k]) for k in keys])
-              for arrays in (self.dp_noise, self.injected, self.noise_total)),
-            per_edge(delivered),
-            per_edge([map("01".__getitem__, self.flags[k].astype(bool, copy=False).tobytes())
-                      for k in keys]),
-        ), metadata)
+        def lines(first: int, last: int) -> Iterator[str]:
+            true, delivered = [], []
+            for k in keys:
+                values = self.true_values[k][first:last]
+                column = texts(values)
+                if np.array_equal(self.delivered[k][first:last].view(np.int64),
+                                  values.view(np.int64)):
+                    column, copy = tee(column)
+                else:
+                    copy = texts(self.delivered[k][first:last])
+                true.append(column)
+                delivered.append(copy)
+            stamps = np.datetime_as_string(self.timestamps[first:last], unit="s").tolist()
+            return csv_lines((
+                map(",".join, product(map("{},{}".format, range(first, last), stamps), pairs)),
+                per_edge(true),
+                *(per_edge([texts(arrays[k][first:last]) for k in keys])
+                  for arrays in (self.dp_noise, self.injected, self.noise_total)),
+                per_edge(delivered),
+                per_edge([map("01".__getitem__,
+                              self.flags[k][first:last].astype(bool, copy=False).tobytes())
+                          for k in keys]),
+            ))
+
+        write_shares(path, _TRACE_HEADER, self.n_timesteps, lines,
+                     self.n_timesteps * len(keys) // _FORK_ROWS, metadata)
 
     def summary(self) -> dict:
         edges = {}

@@ -1,9 +1,12 @@
 """Contiguous shares of a job, run across the CPUs the process may run on; stdlib only.
 
-A job of whole units (Monte-Carlo chunks, sweep cells, simulate's series files) is cut into one
-contiguous share per CPU in os.sched_getaffinity(0).  This process runs the first share and a
-forked child each other one; a child sends its result, or the exception it met, pickled down a
-pipe.  Where the kernel does not balance load across the process's cpuset (cgroup v1
+A job of whole units (Monte-Carlo chunks, sweep cells, simulate's series files, the timesteps of
+its trace) is cut into one contiguous share per CPU in os.sched_getaffinity(0).  This process runs
+the first share and a forked child each other one; a child sends its result, or the exception it
+met, pickled down a pipe.  The trace writer (csvio.write_shares) sends only None: each child
+writes its lines into an unlinked temporary file that this process opened before the fork, and
+this process copies those files' bytes into the trace, in share order, once every share is done.
+Where the kernel does not balance load across the process's cpuset (cgroup v1
 sched_load_balance 0 on its whole path), a forked child stays on its parent's CPU and the two take
 turns, so there each share's process is pinned to its own CPU.  Anywhere else the kernel spreads
 the shares, and pins that always chose the lowest CPUs would pile concurrent processes onto them.
@@ -29,16 +32,12 @@ def run(units: int, work: Callable[[int, int], T], most: int | None = None) -> l
     share.  An error in any share kills and reaps every child, and the lowest-numbered failing
     share's error is raised, as running the shares in order in one process would raise it.
     """
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # outside Linux: one share
-        cpus = [None]
-    count = max(1, min(len(cpus), units, units if most is None else most))
+    cpus, bounds = _cut(units, most)
+    count = len(bounds) - 1
     if count == 1:
         return [work(0, units)]
     import pickle  # only where a child is forked: it is 2 ms of a small sweep's start-up
 
-    bounds = [k * units // count for k in range(count + 1)]
     pins = [None] * count if _kernel_balances() else cpus
     children = []  # (pid, read end of its pipe) per forked share, in share order
     try:
@@ -65,6 +64,17 @@ def run(units: int, work: Callable[[int, int], T], most: int | None = None) -> l
             pipe.close()
             os.waitpid(pid, 0)
     return results
+
+
+def _cut(units: int, most: int | None) -> tuple[list, list]:
+    """The sorted affinity set ([None] outside Linux) and the bounds of run's shares of units:
+    share k covers bounds[k] up to bounds[k + 1]."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # outside Linux: one share
+        cpus = [None]
+    count = max(1, min(len(cpus), units, units if most is None else most))
+    return cpus, [k * units // count for k in range(count + 1)]
 
 
 def _kernel_balances(cgroup: str = "/proc/self/cgroup",

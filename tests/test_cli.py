@@ -263,6 +263,59 @@ def test_simulate_below_the_ingest_cut_off_runs_in_one_process(capsys, fake_affi
     assert forks == []
 
 
+def _full_spill(monkeypatch):
+    """The second spill file is /dev/full: the child whose share it takes gets ENOSPC."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    real = tempfile.TemporaryFile
+    made = []
+
+    def spill(*args, **kwargs):
+        made.append(1)
+        if len(made) == 2:
+            return open("/dev/full", "w+", encoding=kwargs.get("encoding"), newline="")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill)
+    return "[Errno 28] No space left on device"
+
+
+def _failing_lines(monkeypatch):
+    """A forked share's lines raise, share 0's do not."""
+    real = gridsim.write_shares
+
+    def write_shares(path, header, units, lines, most, metadata=None):
+        def failing(first, last):
+            if first:
+                raise ValueError(f"no lines from {first}")
+            return lines(first, last)
+
+        return real(path, header, units, failing, most, metadata)
+
+    monkeypatch.setattr(gridsim, "write_shares", write_shares)
+    return "no lines from 16"
+
+
+@pytest.mark.parametrize("fault", [_full_spill, _failing_lines], ids=["enospc", "lines-raise"])
+def test_failing_trace_share_leaves_nothing_behind(capsys, monkeypatch, fake_affinity, tmp_path,
+                                                   fault):
+    # 3 files over 2 days: 48 hours x 4 edges, cut into shares of 16 hours on 3 CPUs.
+    argv = _fan(capsys, tmp_path, 3)
+    trace_file = tmp_path / "trace.csv"
+    monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)
+    needle = fault(monkeypatch)
+    before = sorted(os.listdir(tmp_path))
+    forks = fake_affinity(range(3))
+    code, out, err = run_cli(capsys, [*argv, "--trace-out", str(trace_file)])
+    assert len(forks) == 2
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "simulate", "error": needle}
+    assert not trace_file.exists()
+    assert sorted(os.listdir(tmp_path)) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _bad_timestamp(path):
     path.write_text("timestamp,value\n2018-01-01T00:00:00,1.0\nnot-a-time,2.0\n")
     return "row 3: bad timestamp 'not-a-time'"

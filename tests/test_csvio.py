@@ -7,10 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dpgrid import adversary
+from dpgrid import adversary, gridsim
 from dpgrid.adversary import (_SWEEP_HEADER, _solve_cells, _sweep_axes, _sweep_rows, impact_sweep,
                               sweep_to_csv)
 from dpgrid.csvio import json_text, quote, write_csv, write_json, write_lines
@@ -193,6 +193,92 @@ def test_trace_writer_holds_no_column_of_texts(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"to_csv peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_trace_writer_holds_no_column_of_texts_in_three_shares(fake_affinity, tmp_path):
+    """The bound above with the trace cut into three shares, two of them forked: this process
+    streams its own share into the file and copies the others' spill files back as bytes."""
+    rng = np.random.default_rng(0)
+    keys = tuple((f"pmu{i}", "m") for i in range(105))
+    columns = {name: {k: rng.standard_normal(720) for k in keys}
+               for name in ("true_values", "dp_noise", "injected", "noise_total")}
+    columns["delivered"] = {k: columns["true_values"][k].copy() for k in keys}
+    trace = _direct_trace(keys, 720, columns, {k: np.zeros(720, dtype=bool) for k in keys})
+    forks = fake_affinity(range(3))
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 2
+    assert len((tmp_path / "trace.csv").read_bytes().splitlines()) == 1 + 105 * 720
+    assert peak < 2 * 2**20, f"to_csv peaked at {peak / 2**20:.2f} MiB"
+
+
+def _expect_share_count_free(trace, fake_affinity, tmp, metadata=None):
+    """On 1, 2 and 3 CPUs, to_csv writes the row writer's bytes, in a share per CPU."""
+    write_csv_by_rows(tmp / "rows.csv", _TRACE_HEADER, trace_rows(trace), metadata)
+    for count in (1, 2, 3):
+        forks = fake_affinity(range(count))
+        trace.to_csv(tmp / f"trace-{count}.csv", metadata)
+        assert (tmp / f"trace-{count}.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+        assert len(forks) == min(count, max(1, trace.n_timesteps)) - 1
+
+
+_SHARED_FIXTURES = settings(derandomize=True, max_examples=60,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_SHARED_FIXTURES
+@given(trace=edge_case_trace())
+def test_edge_case_trace_bytes_do_not_depend_on_share_count(trace, monkeypatch, fake_affinity,
+                                                            tmp_path_factory):
+    monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)  # so that a trace of a few rows splits
+    _expect_share_count_free(trace, fake_affinity, tmp_path_factory.mktemp("edge"))
+
+
+@_SHARED_FIXTURES
+@given(trace=small_run())
+def test_small_run_trace_bytes_do_not_depend_on_share_count(trace, monkeypatch, fake_affinity,
+                                                            tmp_path_factory):
+    monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)
+    _expect_share_count_free(trace, fake_affinity, tmp_path_factory.mktemp("run"),
+                             {"config_hash": "beef"})
+
+
+def test_trace_texts_are_chosen_per_share(monkeypatch, fake_affinity, tmp_path):
+    """Six hours cut into shares of 3 + 3 and 2 + 2 + 2: dp_noise is all +0.0 in the first
+    share only, and delivered has true_value's bits in the first share only, then differs in
+    one value or in the sign of one zero."""
+    monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)
+    keys = (("pmu,1", "m"), ("pmu2", "m"))
+    true = np.array([0.0, 0.1, -2.5, 0.0, 1e308, 5e-324])
+    columns = {"true_values": {k: true for k in keys},
+               "dp_noise": {k: np.array([0.0, 0.0, 0.0, 0.0, -0.0, 0.1]) for k in keys},
+               "injected": {k: np.zeros(6) for k in keys},
+               "noise_total": {k: np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 0.0]) for k in keys},
+               "delivered": {keys[0]: np.array([0.0, 0.1, -2.5, -0.0, 1e308, 5e-324]),
+                             keys[1]: np.array([0.0, 0.1, -2.5, 0.0, 1e308, 0.2])}}
+    flags = {k: np.array([0, 1, 0, 0, 1, 1], dtype=bool) for k in keys}
+    _expect_share_count_free(_direct_trace(keys, 6, columns, flags), fake_affinity, tmp_path,
+                             {"config_hash": "beef"})
+
+
+@pytest.mark.parametrize("rows, forks", [(2 * gridsim._FORK_ROWS - 1, 0),
+                                         (2 * gridsim._FORK_ROWS, 1)], ids=["below", "at"])
+def test_trace_below_the_fork_cut_off_is_written_in_one_process(fake_affinity, tmp_path, rows,
+                                                                forks):
+    """One edge over `rows` hours, on 3 CPUs: a share is given at least _FORK_ROWS rows."""
+    keys = (("pmu1", "m"),)
+    values = np.arange(rows, dtype=float)
+    columns = {name: {keys[0]: values} for name in
+               ("true_values", "dp_noise", "injected", "noise_total", "delivered")}
+    trace = _direct_trace(keys, rows, columns, {keys[0]: np.zeros(rows, dtype=bool)})
+    made = fake_affinity(range(3))
+    trace.to_csv(tmp_path / "trace.csv")
+    assert len(made) == forks
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
 
 _SWEEP_AXES = ([0.1, 0.5, 3.0], [0.5, 2.0], [1.0, 2.0, 2.0])
