@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice, product, tee, zip_longest
+from itertools import islice, product, tee, zip_longest
 from operator import attrgetter
 
-from .csvio import csv_lines, write_csv
+from .csvio import csv_lines, write_csv, write_shares
 from .laplace import PrivacyParams
 from .seeds import as_generator
 
@@ -262,34 +262,23 @@ def _sweep_columns(axes, solved, theta: float, first: int) -> list:
     return [map(",".join, cells), map(repr, k1s), mu_texts, dev_texts]
 
 
-# The fewest cells a forked share of the sweep command is given.  A fork, and its rows' trip back
-# through the pipe, cost about what solving and formatting this many cells in the parent would:
-# on 2 vCPUs a 2,000-cell grid took as long in two shares as in one, and 4,000 cells 15% less.
+# The fewest cells a forked share of the sweep command is given.  A fork, and its share's trip
+# back, cost about what solving and formatting this many cells in the parent would: on 2 vCPUs a
+# 2,000-cell grid took as long in two shares as in one, and 4,000 cells 15% less.
 _FORK_CELLS = 1024
 
 
-def _sweep_rows(epsilons, gammas, sensitivities, theta) -> tuple:
-    """The sweep command's cell count and an iterator of texts of its data lines, in product
-    order, for write_lines.
-
-    The axes and each distinct gamma's ratio are solved in this process; contiguous ranges of
-    cells are then solved and formatted in shares.run's shares, one per CPU and each of at least
-    _FORK_CELLS cells.  Every share has solved its cells when this returns, so the first faulty
-    cell in product order raises, as in one process, before any file is opened.  A share that
-    is the whole grid returns its lines unformatted, so writing them holds no column of texts;
-    where there are several, each share's lines are joined, so this process holds every
-    share's texts until they are written."""
-    from . import shares
-
+def _write_sweep(path, epsilons, gammas, sensitivities, theta, metadata) -> int:
+    """Writes the sweep command's CSV, sweep_to_csv(impact_sweep(...))'s bytes, through
+    csvio.write_shares in shares of at least _FORK_CELLS cells, and returns the cell count.  The
+    axes and each distinct gamma's ratio are solved once, here; the first faulty cell in product
+    order raises, as in one process."""
     axes, ratio_of = _sweep_axes(epsilons, gammas, sensitivities, theta)
     cells = len(axes[0]) * len(axes[1]) * len(axes[2])
 
-    def share(first: int, last: int):
+    def lines(first: int, last: int):
         solved = _solve_cells(axes, ratio_of, theta, first, last)
-        lines = csv_lines(_sweep_columns(axes, solved, theta, first))
-        if last - first == cells:
-            return lines
-        # Joined a block at a time, so at most one block of line objects lives at once.
-        return list(map("".join, iter(lambda: list(islice(lines, 4096)), [])))
+        return csv_lines(_sweep_columns(axes, solved, theta, first))
 
-    return cells, chain.from_iterable(shares.run(cells, share, most=cells // _FORK_CELLS))
+    write_shares(path, _SWEEP_HEADER, cells, lines, cells // _FORK_CELLS, metadata)
+    return cells

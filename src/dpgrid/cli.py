@@ -118,12 +118,11 @@ def _cmd_impact(args: argparse.Namespace, config_hash: Callable[[], str]) -> int
 
 
 def _cmd_sweep(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
-    from .adversary import _SWEEP_HEADER, _sweep_rows
-    from .csvio import write_lines
+    from .adversary import _write_sweep
 
-    cells, lines = _sweep_rows(args.epsilons, args.gammas, args.sensitivities, args.theta)
     out = _resolve_out(args.out)
-    write_lines(out, _SWEEP_HEADER, lines, metadata={"config_hash": config_hash()})
+    cells = _write_sweep(out, args.epsilons, args.gammas, args.sensitivities, args.theta,
+                         {"config_hash": config_hash()})
     _emit_json({"rows": cells, "out": out, "config_hash": config_hash()}, None)
     return 0
 

@@ -209,13 +209,13 @@ def _csv_columns(path, text):
         except csv.Error as exc:
             raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
-        raise ValueError(f"empty file: {path}")
+        raise ValueError("empty file")
     header = [c.strip().lower() for c in rows[0]]
     if header not in _HEADERS:
         raise ValueError("malformed header: expected 'timestamp,value[,quality]'")
     data = rows[1:]
     if not data:
-        raise ValueError(f"no data rows in {path}")
+        raise ValueError("no data rows")
     bad_width = np.flatnonzero(np.fromiter(map(len, data), np.intp, len(data)) != len(header))
     if bad_width.size:
         first = bad_width[0]
@@ -233,7 +233,8 @@ def ingest_csv(path) -> MeasurementSeries:
     error, as are a row of the wrong width, an empty, NaT or bad
     timestamp (see the module docstring), a timestamp not after the one
     above and a field longer than csv.field_size_limit(); each row error
-    names the first bad row.
+    names the first bad row, and each of these errors starts with the
+    file's path ("<path>: row 3: bad timestamp 'NaT'").
 
     The file is read once, or twice if it does not decode.  A plain
     file, with '\\n' or '\\r\\n' line ends, no quoting, no NUL and no
@@ -246,20 +247,20 @@ def ingest_csv(path) -> MeasurementSeries:
             text = fh.read()
     except UnicodeDecodeError:
         text = None
-    columns = None if text is None else _plain_columns(text)
-    if columns is None:
-        columns = _csv_columns(path, text)
-    stamps, texts = columns[:2]
+    try:
+        columns = None if text is None else _plain_columns(text)
+        if columns is None:
+            columns = _csv_columns(path, text)
+        stamps, texts = columns[:2]
+        timestamps = _parse_timestamps(stamps)
+        back = np.flatnonzero(timestamps[1:] <= timestamps[:-1]) + 1
+        if back.size:
+            i = back[0]
+            raise ValueError(f"row {i + 2}: timestamps must be strictly increasing "
+                             f"({stamps[i]!r} is not after {stamps[i - 1]!r})")
+    except ValueError as exc:  # a decode error too
+        raise ValueError(f"{path}: {exc}") from None
     n = len(stamps)
-    timestamps = _parse_timestamps(stamps)
-    back = np.flatnonzero(timestamps[1:] <= timestamps[:-1]) + 1
-    if back.size:
-        i = back[0]
-        raise ValueError(
-            f"row {i + 2}: timestamps must be strictly increasing "
-            f"({stamps[i]!r} is not after {stamps[i - 1]!r})"
-        )
-
     try:
         values = np.fromiter(map(float, texts), np.float64, n)
     except ValueError:

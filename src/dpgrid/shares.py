@@ -3,9 +3,8 @@
 A job of whole units (Monte-Carlo chunks, sweep cells, simulate's series files, the timesteps of
 its trace) is cut into one contiguous share per CPU in os.sched_getaffinity(0).  This process runs
 the first share and a forked child each other one; a child sends its result, or the exception it
-met, pickled down a pipe.  The trace writer (csvio.write_shares) sends only None: each child
-writes its lines into an unlinked temporary file that this process opened before the fork, and
-this process copies those files' bytes into the trace, in share order, once every share is done.
+met, pickled down a pipe.  The CSV writer of the sweep and the trace (csvio.write_shares) sends
+only None: each child writes its lines into an unlinked temporary file opened before the fork.
 Where the kernel does not balance load across the process's cpuset (cgroup v1
 sched_load_balance 0 on its whole path), a forked child stays on its parent's CPU and the two take
 turns, so there each share's process is pinned to its own CPU.  Anywhere else the kernel spreads

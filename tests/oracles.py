@@ -147,7 +147,15 @@ def _parse_timestamp(text: str) -> np.datetime64:
 
 
 def ingest_csv_by_rows(path) -> MeasurementSeries:
-    """Row-by-row measurement CSV reader: one datetime64 and one float per row."""
+    """Row-by-row measurement CSV reader: one datetime64 and one float per row; an error about
+    the file's contents, a decode error included, starts with the file's path."""
+    try:
+        return _series_by_rows(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _series_by_rows(path) -> MeasurementSeries:
     rows = []
     with open(path, newline="") as fh:
         try:
@@ -157,13 +165,13 @@ def ingest_csv_by_rows(path) -> MeasurementSeries:
         except csv.Error as exc:  # a field beyond csv.field_size_limit()
             raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
-        raise ValueError(f"empty file: {path}")
+        raise ValueError("empty file")
     header = [c.strip().lower() for c in rows[0]]
     if header not in (["timestamp", "value"], ["timestamp", "value", "quality"]):
         raise ValueError("malformed header: expected 'timestamp,value[,quality]'")
     has_quality = len(header) == 3
     if len(rows) == 1:
-        raise ValueError(f"no data rows in {path}")
+        raise ValueError("no data rows")
 
     timestamps = []
     values = []

@@ -171,13 +171,17 @@ def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, fake_affinity,
     assert forks == []
 
 
-@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("count, earlier", [(2, None), (3, None), (3, b"an earlier sweep\r\n")],
+                         ids=["2", "3", "3-over-an-earlier-file"])
 def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeypatch,
-                                                                 fake_affinity, tmp_path, count):
+                                                                 fake_affinity, tmp_path, count,
+                                                                 earlier):
     # Cells 4 and 5 of 6, epsilon 1e200 at both sensitivities, have no finite mean shift; they
-    # lie in the last share, a child's, of 2 or 3.
+    # lie in the last share, a child's, of 2 or 3.  An earlier file at --out stays as it was.
     monkeypatch.setattr(adversary, "_FORK_CELLS", 1)
     out_file = tmp_path / "sweep.csv"
+    if earlier is not None:
+        out_file.write_bytes(earlier)
     argv = ["sweep", "--epsilons", "1,2,1e200", "--gammas", "2", "--sensitivities", "1e-3,1",
             "--out", str(out_file)]
     runs = []
@@ -185,7 +189,8 @@ def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeyp
         forks = fake_affinity(range(cpu_count))
         runs.append(run_cli(capsys, argv))
         assert len(forks) == cpu_count - 1
-        assert not out_file.exists()
+        assert (out_file.read_bytes() if out_file.exists() else None) == earlier
+        assert os.listdir(tmp_path) == ([] if earlier is None else ["sweep.csv"])
     assert runs[0] == runs[1]
     code, out, err = runs[1]
     assert code == 2 and out == ""
@@ -296,12 +301,17 @@ def _failing_lines(monkeypatch):
     return "no lines from 16"
 
 
-@pytest.mark.parametrize("fault", [_full_spill, _failing_lines], ids=["enospc", "lines-raise"])
+@pytest.mark.parametrize("fault, earlier", [(_full_spill, None), (_failing_lines, None),
+                                           (_failing_lines, b"an earlier trace\r\n")],
+                         ids=["enospc", "lines-raise", "lines-raise-over-an-earlier-file"])
 def test_failing_trace_share_leaves_nothing_behind(capsys, monkeypatch, fake_affinity, tmp_path,
-                                                   fault):
-    # 3 files over 2 days: 48 hours x 4 edges, cut into shares of 16 hours on 3 CPUs.
+                                                   fault, earlier):
+    # 3 files over 2 days: 48 hours x 4 edges, cut into shares of 16 hours on 3 CPUs.  An earlier
+    # file at --trace-out stays as it was.
     argv = _fan(capsys, tmp_path, 3)
     trace_file = tmp_path / "trace.csv"
+    if earlier is not None:
+        trace_file.write_bytes(earlier)
     monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)
     needle = fault(monkeypatch)
     before = sorted(os.listdir(tmp_path))
@@ -310,7 +320,7 @@ def test_failing_trace_share_leaves_nothing_behind(capsys, monkeypatch, fake_aff
     assert len(forks) == 2
     assert code == 2 and out == ""
     assert parse_json(err) == {"command": "simulate", "error": needle}
-    assert not trace_file.exists()
+    assert (trace_file.read_bytes() if trace_file.exists() else None) == earlier
     assert sorted(os.listdir(tmp_path)) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -318,7 +328,7 @@ def test_failing_trace_share_leaves_nothing_behind(capsys, monkeypatch, fake_aff
 
 def _bad_timestamp(path):
     path.write_text("timestamp,value\n2018-01-01T00:00:00,1.0\nnot-a-time,2.0\n")
-    return "row 3: bad timestamp 'not-a-time'"
+    return f"{path}: row 3: bad timestamp 'not-a-time'"
 
 
 def _missing(path):
@@ -710,7 +720,9 @@ def test_unwritable_out_exits_2_and_prints_nothing(capsys, tmp_path):
         "--out", str(tmp_path),
     ])
     assert code == 2 and out == ""
-    assert parse_json(err)["command"] == "calibrate"
+    assert parse_json(err) == {"command": "calibrate",
+                               "error": f"[Errno 21] Is a directory: '{tmp_path}'"}
+    assert os.listdir(tmp_path) == []
 
 
 # Beyond DesignSpec's gamma bounds the root solves cannot hold the round trip.

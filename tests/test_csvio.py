@@ -3,6 +3,8 @@ byte."""
 
 import csv
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -11,9 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpgrid import adversary, gridsim
-from dpgrid.adversary import (_SWEEP_HEADER, _solve_cells, _sweep_axes, _sweep_rows, impact_sweep,
-                              sweep_to_csv)
-from dpgrid.csvio import json_text, quote, write_csv, write_json, write_lines
+from dpgrid.adversary import _solve_cells, _sweep_axes, _write_sweep, impact_sweep, sweep_to_csv
+from dpgrid.csvio import json_text, quote, write_csv, write_json, write_shares
 from dpgrid.gridsim import Detector, Edge, GridTopology, Layer, Node, SimTrace, run_query
 from dpgrid.laplace import PrivacyParams
 from dpgrid.series import MeasurementSeries, synth_pmu
@@ -286,7 +287,7 @@ _SWEEP_AXES = ([0.1, 0.5, 3.0], [0.5, 2.0], [1.0, 2.0, 2.0])
 
 def write_sweep(path, theta, metadata=None):
     """What the sweep command writes for _SWEEP_AXES: 18 cells, one share in this process."""
-    write_lines(path, _SWEEP_HEADER, _sweep_rows(*_SWEEP_AXES, theta)[1], metadata)
+    _write_sweep(path, *_SWEEP_AXES, theta, metadata)
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300], ids=["zero", "negative-zero", "tiny"])
@@ -313,9 +314,9 @@ def test_sweep_writer_formats_shared_texts_once(monkeypatch, tmp_path, theta, pe
 
 
 def test_sweep_writer_holds_no_column_of_texts(fake_affinity, tmp_path):
-    """The sweep command's path on 50,000 cells at theta 0 in one share, as on one CPU or under
+    """The sweep command's writer on 50,000 cells at theta 0 in one share, as on one CPU or under
     taskset -c 0, deviation sharing mu_star's texts: beyond the three columns of solved cells,
-    which are all solved before the file opens, it peaks under 2 MiB, most of it the two
+    which the share solves before it formats any, it peaks under 2 MiB, most of it the two
     columns' bytes it compares, where holding one column of texts costs about 4.7 MiB."""
     axes = ([0.05 + 0.01 * i for i in range(50)], [0.25 * (i + 1) for i in range(50)],
             [0.5 * (i + 1) for i in range(20)])
@@ -329,7 +330,7 @@ def test_sweep_writer_holds_no_column_of_texts(fake_affinity, tmp_path):
     del solved
     tracemalloc.start()
     try:
-        write_lines(tmp_path / "sweep.csv", _SWEEP_HEADER, _sweep_rows(*axes, 0.0)[1])
+        _write_sweep(tmp_path / "sweep.csv", *axes, 0.0, None)
         peak = tracemalloc.get_traced_memory()[1] - solved_bytes
     finally:
         tracemalloc.stop()
@@ -360,3 +361,71 @@ def test_write_json_refuses_non_finite_floats_and_writes_no_file(tmp_path, value
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(tmp_path / "doc.json", payload, metadata)
     assert not (tmp_path / "doc.json").exists()
+
+
+def _failing(texts):
+    yield from texts
+    raise ValueError("no more fields")
+
+
+def _write_csv(path, fail):
+    write_csv(path, ["a", "b"], [["1", "2"], _failing(["3"]) if fail else ["3", "4"]])
+    return b"a,b\r\n1,3\r\n2,4\r\n"
+
+
+def _write_shares(path, fail):
+    """Six units in at most three shares; with fail, the last share, a child's on 3 CPUs, raises."""
+    def lines(first, last):
+        if fail and last == 6:
+            raise ValueError("no lines")
+        return map("{}\r\n".format, range(first, last))
+
+    write_shares(path, ["a"], 6, lines, 3, {"config_hash": "beef"})
+    return b"# config_hash=beef\na\r\n" + b"".join(b"%d\r\n" % u for u in range(6))
+
+
+def _write_json(path, fail):
+    write_json(path, {"x": float("nan") if fail else 1.0})
+    return b'{\n  "x": 1.0\n}\n'
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+@pytest.mark.parametrize("write, cpus", [(_write_csv, 1), (_write_shares, 1), (_write_shares, 3),
+                                         (_write_json, 1)],
+                         ids=["csv", "shares-1-cpu", "shares-3-cpus", "json"])
+def test_output_is_staged_and_replaced_only_when_whole(fake_affinity, tmp_path, write, cpus, umask):
+    """A new file gets open(path, "w")'s mode, a symlink is written through, a failed write
+    leaves an earlier file as it was, an error names the path, a pipe is written in place, and
+    no staged or spill file is left behind."""
+    forks = fake_affinity(range(cpus))
+    real, link, missing = tmp_path / "real", tmp_path / "link", tmp_path / "no-dir" / "out"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    link.symlink_to(real.name)
+    real.write_bytes(b"earlier\n")
+    os.chmod(real, 0o600)
+    old = os.umask(umask)
+    try:
+        expected = write(tmp_path / "new", fail=False)
+        with pytest.raises(ValueError):
+            write(link, fail=True)
+        assert real.read_bytes() == b"earlier\n"
+        with pytest.raises(FileNotFoundError) as exc:
+            write(missing, fail=False)
+        assert str(exc.value) == f"[Errno 2] No such file or directory: '{missing}'"
+        assert write(link, fail=False) == expected
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+        try:
+            write(fifo, fail=False)
+            assert os.read(reader, 1 << 16) == expected
+        finally:
+            os.close(reader)
+    finally:
+        os.umask(old)
+    assert len(forks) == (8 if cpus == 3 else 0)  # two per write that reaches its shares
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link", "new", "real"]
+    assert link.is_symlink() and os.readlink(link) == "real"
+    assert (tmp_path / "new").read_bytes() == real.read_bytes() == expected
+    for path in (tmp_path / "new", real):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask

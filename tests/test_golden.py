@@ -11,9 +11,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from dpgrid.adversary import _SWEEP_HEADER, AttackProfile, _sweep_rows, impact_sweep, sweep_to_csv
+from dpgrid.adversary import AttackProfile, _write_sweep, impact_sweep, sweep_to_csv
 from dpgrid.cli import main
-from dpgrid.csvio import write_lines
 from dpgrid.gridsim import (
     Detector,
     Edge,
@@ -123,8 +122,7 @@ def test_sweep_csv_digest(tmp_path):
 def test_sweep_writer_digest_at_default_theta(tmp_path):
     """The sweep command's writer at the CLI's default theta, where deviation has mu_star's bits."""
     path = tmp_path / "sweep.csv"
-    _, lines = _sweep_rows([0.1, 0.5], [0.5, 2.0], [1.0, 2.0], 0.0)
-    write_lines(path, _SWEEP_HEADER, lines, _META)
+    _write_sweep(path, [0.1, 0.5], [0.5, 2.0], [1.0, 2.0], 0.0, _META)
     assert _sha256_file(path) == SWEEP_ZERO_THETA_CSV_SHA256
 
 

@@ -138,13 +138,14 @@ def test_ingest_names_the_first_non_increasing_row(tmp_path):
         "2018-10-14T00:00:01,3.0\n"
         "2018-10-14T00:00:00,4.0\n",
     )
-    with pytest.raises(ValueError, match=r"^row 4: timestamps must be strictly increasing"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 4: timestamps must be "
+                                         "strictly increasing"):
         ingest_csv(path)
 
 
 def test_ingest_rejects_empty_timestamp(tmp_path):
     path = _write(tmp_path, "timestamp,value\n,1.0\n")
-    with pytest.raises(ValueError, match=r"^row 2: bad timestamp ''$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2: bad timestamp ''$"):
         ingest_csv(path)
 
 
@@ -156,7 +157,7 @@ def test_ingest_rejects_nat_timestamp_mid_file(tmp_path):
         "NaT,2.0\n"
         "2018-10-14T00:00:02,3.0\n",
     )
-    with pytest.raises(ValueError, match=r"^row 3: bad timestamp 'NaT'$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 3: bad timestamp 'NaT'$"):
         ingest_csv(path)
 
 
@@ -280,7 +281,7 @@ def test_each_strategy_branch_reaches_its_path(plain, path_taken, data, tmp_path
 _PLAIN = "timestamp,value\n2018-10-14T00:00:00,1.5\n2018-10-14T01:00:00,2.5\n"
 _LIMIT = csv.field_size_limit()
 # csv.reader takes a NUL from Python 3.11 on; before, it is a row error.
-_NUL_ERROR = None if sys.version_info >= (3, 11) else "row 4: line contains NUL"
+_NUL_ERROR = None if sys.version_info >= (3, 11) else "{path}: row 4: line contains NUL"
 
 
 @pytest.mark.parametrize("text, path_taken, error", [
@@ -290,23 +291,23 @@ _NUL_ERROR = None if sys.version_info >= (3, 11) else "row 4: line contains NUL"
      "csv.reader", None),
     (_PLAIN + "# note,x\n2018-10-14T02:00:00,3.5\n", "csv.reader", None),
     ("timestamp,value,quality\n2018-10-14T00:00:00,1.5\r2018-10-14T01:00:00,ok\n", "csv.reader",
-     "row 2: expected 3 fields, got 2"),
+     "{path}: row 2: expected 3 fields, got 2"),
     (_PLAIN + "2018-10-14T02:00:00,3.5,x\n2018-10-14T03:00:00,4.5\n", "csv.reader",
-     "row 4: expected 2 fields, got 3"),
+     "{path}: row 4: expected 2 fields, got 3"),
     (_PLAIN + "2018-10-14T02:00:00,3.5,x\n2018-10-14T03:00:00\n", "csv.reader",
-     "row 4: expected 2 fields, got 3"),
+     "{path}: row 4: expected 2 fields, got 3"),
     (_PLAIN + "2018-10-14T02:00:00,3.5\0\n", "csv.reader", _NUL_ERROR),
     (_PLAIN.replace("\n", "\r\n").replace(",1.5\r\n", ",1.5\r\r\n"), "csv.reader", None),
     (_PLAIN + "2018-10-14T02:00:00," + "1" * (_LIMIT + 1) + "\n", "csv.reader",
-     f"row 4: field larger than field limit ({_LIMIT})"),
+     f"{{path}}: row 4: field larger than field limit ({_LIMIT})"),
     ("# " + "x" * _LIMIT + "\n" + _PLAIN, "csv.reader",
-     f"row 1: field larger than field limit ({_LIMIT})"),
+     f"{{path}}: row 1: field larger than field limit ({_LIMIT})"),
     (_PLAIN + "2018-10-14T02:00:00," + "1" * _LIMIT + "\n", "split", None),
     ("# config_hash=abc\n#\n" + _PLAIN, "split", None),
     (_PLAIN.rstrip("\n"), "split", None),
     ("# config_hash=abc\n" + _PLAIN.replace("\n", "\r\n"), "split", None),
     (_PLAIN.replace("\n", "\r\n").rstrip("\r\n"), "split", None),
-    ("# config_hash=abc\n#", "csv.reader", "empty file: {path}"),
+    ("# config_hash=abc\n#", "csv.reader", "{path}: empty file"),
 ], ids=["blank-line-before-header", "indented-comment-before-header",
         "quoted-metadata-spans-newline", "comment-row-below-header", "lone-cr-line-end",
         "wrong-width-row", "widths-that-cancel", "nul-in-value", "cr-before-crlf",
