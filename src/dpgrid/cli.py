@@ -7,9 +7,9 @@ benchmark manipulation cost, and generate synthetic inputs.
 
 Every emitted file and JSON document carries a config hash of the
 parsed arguments, output paths excepted, with input files entering by
-the sha256 of their bytes, so outputs can be traced back to the exact
-invocation.  Exit status: 0 on success, 2 on usage or validation
-errors.
+the sha256 of the bytes the run read, so outputs can be traced back to
+the exact invocation and data.  Exit status: 0 on success, 2 on usage
+or validation errors.
 
 Each command imports the library modules it runs when it runs, so
 importing this module loads no numpy and a command pays at start-up only
@@ -35,23 +35,17 @@ OUTPUT_DIR_ENV = "DPGRID_OUTPUT_DIR"
 _UNHASHED_ARGS = ("func", "out", "trace_out", "export_series")
 
 
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _config_hash(args: argparse.Namespace) -> str:
+def _config_hash(args: argparse.Namespace, digests: dict | None = None) -> str:
     """Hash of every parsed argument except output paths.
 
-    Input files enter by the sha256 of their bytes, so two runs share a
+    Input files enter by the sha256 of the bytes the run read: digests
+    replaces each argument that names input files by their hexdigests,
+    which the command took from the bytes it parsed (simulate's
+    topology by one, its series by one per node).  So two runs share a
     hash only if they read the same data with the same settings.
     """
     params = {k: v for k, v in vars(args).items() if k not in _UNHASHED_ARGS}
-    if "topology" in params:
-        params["topology"] = _file_sha256(args.topology)
-    if params.get("series"):
-        # Mirrors the series map the simulation builds: the last file per node wins.
-        params["series"] = {node: _file_sha256(path) for node, path in dict(args.series).items()}
+    params.update(digests or {})
     canonical = json.dumps(params, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -135,18 +129,19 @@ def _cmd_sweep(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
 _FORK_FILES = 8
 
 
-def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[], str]) -> int:
+def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[dict], str]) -> int:
     from dataclasses import asdict
     from itertools import chain
 
     from . import shares
-    from .gridsim import Detector, detection_rate, load_topology, run_query
+    from .gridsim import _AGGREGATION, Detector, _load_topology, detection_rate, run_query
     from .seeds import derive_seed
-    from .series import ingest_csv, synth_pmu
+    from .series import _ingest, resample, synth_pmu
 
     if args.n_runs is not None and args.tau is None:
         raise ValueError("--n-runs estimates detection rates and needs a detector: set --tau")
-    topology = load_topology(args.topology)
+    topology, topology_digest = _load_topology(args.topology)
+    digests = {"topology": topology_digest}
     # The last file per node wins; earlier ones are not read.
     series_paths = dict(args.series or [])
     stray = sorted(set(series_paths).difference(topology.pmu_ids()))
@@ -154,14 +149,28 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[], str]) -> i
         raise ValueError(f"--series names node(s) that are not PMUs of the topology: "
                          f"{', '.join(stray)}")
     paths = list(series_paths.values())
+    how = _AGGREGATION.get(args.kind)  # None for a kind the query refuses
 
     def ingest(first: int, last: int) -> list:
-        return [ingest_csv(path) for path in paths[first:last]]
+        # Each file's hourly series, as the query resamples it, and the sha256 of its bytes.
+        out = []
+        for path in paths[first:last]:
+            series, digest = _ingest(path)
+            if how is not None:
+                try:
+                    series = resample(series, "hour", how=how)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+            out.append((series, digest))
+        return out
 
     # Contiguous shares of the files in argument order: the lowest failing share raises, so the
     # first bad file is the one named, as in one process.
-    series_map = dict(zip(series_paths, chain.from_iterable(
+    ingested = dict(zip(series_paths, chain.from_iterable(
         shares.run(len(paths), ingest, most=len(paths) // _FORK_FILES))))
+    series_map = {node: series for node, (series, _) in ingested.items()}
+    if series_paths:
+        digests["series"] = {node: digest for node, (_, digest) in ingested.items()}
     if args.synth_days:
         for pmu in topology.pmu_ids():
             if pmu not in series_map:
@@ -172,13 +181,14 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[], str]) -> i
     if args.tau is not None:
         detector = Detector(tau=args.tau, window=args.window)
     trace = run_query(topology, series_map, args.kind, detector, seed=args.seed)
-    payload = {**trace.summary(), "config_hash": config_hash()}
+    run_hash = config_hash(digests)
+    payload = {**trace.summary(), "config_hash": run_hash}
     if args.n_runs is not None:
         rates = detection_rate(topology, series_map, args.kind, detector, args.n_runs, args.seed)
         payload["detection"] = asdict(rates)
     if args.trace_out:
         trace_path = _resolve_out(args.trace_out)
-        trace.to_csv(trace_path, metadata={"config_hash": config_hash()})
+        trace.to_csv(trace_path, metadata={"config_hash": run_hash})
         payload["trace_out"] = trace_path
     _emit_json(payload, args.out)
     return 0
@@ -374,8 +384,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow ends the run
-            # Hashed when first asked, so simulate checks its --series ids before reading files.
-            return args.func(args, functools.cache(lambda: _config_hash(args)))
+            return args.func(args, functools.partial(_config_hash, args))
     except (ValueError, OSError, KeyError, MemoryError, RuntimeWarning) as exc:
         print(json.dumps({"error": str(exc), "command": args.command}), file=sys.stderr)
         return 2

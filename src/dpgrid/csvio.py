@@ -1,8 +1,11 @@
 """The one CSV writer and the one JSON writer behind every output, each output staged until it is
-whole (_staged); stdlib only, loading no numpy."""
+whole (_staged), and the one reader of input files, which hashes the bytes it reads; stdlib only,
+loading no numpy."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from contextlib import ExitStack, contextmanager
@@ -41,6 +44,15 @@ def _staged(path):
     except BaseException:
         os.unlink(staged)
         raise
+
+
+def read_input(path, newline: str | None = None) -> tuple[io.TextIOWrapper, str]:
+    """The file's bytes, read once, as a text stream that decodes them as open(path,
+    newline=newline) would (same encoding, strict errors, chunks of the same size), and the sha256
+    hexdigest of those bytes, which names them in a config hash."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return io.TextIOWrapper(io.BytesIO(data), newline=newline), hashlib.sha256(data).hexdigest()
 
 
 def write_csv(path, header, columns, metadata: dict | None = None) -> None:

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .adversary import AttackProfile, sample_attack_noise
-from .csvio import csv_lines, quote, write_json, write_shares
+from .csvio import csv_lines, quote, read_input, write_json, write_shares
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
 from .series import resample
@@ -336,7 +336,14 @@ class _Query:
         self.children = [children_of.get(e.child, []) for e in self.edges]
         self.true = np.empty((len(self.edges), 1, len(self.timestamps)))
         for i, (e, kids) in enumerate(zip(self.edges, self.children)):
-            self.true[i] = self._combine(self.true[kids]) if kids else hourly[e.child].values
+            if not kids:
+                self.true[i] = hourly[e.child].values
+                continue
+            with np.errstate(over="ignore"):
+                self.true[i] = self._combine(self.true[kids])
+            if not np.isfinite(self.true[i]).all():  # a mean is representable: only a sum overflows
+                raise ValueError(f"edge {'->'.join(e.key)}: the sum of its children's true values "
+                                 f"overflows")
         # (index, scale, generator) per noisy node, and (index, attacker, start, end, generator)
         # per attacked edge whose window meets the run; the MASTER sends nothing, so has no stream.
         n, policy = len(self.timestamps), topology.dp_policy
@@ -599,8 +606,14 @@ def topology_from_dict(data: dict) -> GridTopology:
 
 
 def load_topology(path) -> GridTopology:
-    with open(path) as fh:
-        return topology_from_dict(json.load(fh))
+    return _load_topology(path)[0]
+
+
+def _load_topology(path) -> tuple[GridTopology, str]:
+    """load_topology's topology and the sha256 hexdigest of the bytes it was read from, decoded
+    as open(path) decodes them, so a JSON error's position is the same."""
+    stream, digest = read_input(path)
+    return topology_from_dict(json.load(stream)), digest
 
 
 def save_topology(topology: GridTopology, path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import read_input, write_csv
 from .seeds import derive_rng
 
 _QUALITY_OK = {"", "ok", "good", "1"}
@@ -192,22 +192,18 @@ def _plain_columns(text: str):
     return [fields[i::width] for i in range(width)]
 
 
-def _csv_columns(path, text):
-    """The file's columns by csv.reader, dropping blank and '#' rows.
+def _csv_columns(fh):
+    """The columns of the text stream fh by csv.reader, dropping blank and '#' rows.
 
-    text is the file's text, or None when it does not decode: csv.reader
-    then reads the file itself, so its decode error counts the bad byte
-    from the chunk it reads, as it always has.  An empty file, a
-    malformed header, no data rows, a row of the wrong width and any
-    csv.Error (a field beyond csv.field_size_limit(), or a NUL before
-    Python 3.11) raise ValueError; a row error names its row.
+    An empty file, a malformed header, no data rows, a row of the wrong
+    width and any csv.Error (a field beyond csv.field_size_limit(), or a
+    NUL before Python 3.11) raise ValueError; a row error names its row.
     """
     rows = []
-    with open(path, newline="") if text is None else io.StringIO(text, newline="") as fh:
-        try:
-            rows.extend(r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
-        except csv.Error as exc:
-            raise ValueError(f"row {len(rows) + 1}: {exc}") from None
+    try:
+        rows.extend(r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
+    except csv.Error as exc:
+        raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError("empty file")
     header = [c.strip().lower() for c in rows[0]]
@@ -236,21 +232,30 @@ def ingest_csv(path) -> MeasurementSeries:
     names the first bad row, and each of these errors starts with the
     file's path ("<path>: row 3: bad timestamp 'NaT'").
 
-    The file is read once, or twice if it does not decode.  A plain
-    file, with '\\n' or '\\r\\n' line ends, no quoting, no NUL and no
-    blank or '#' line after its header, is cut into columns by one
-    split; any other file goes through csv.reader.  Both paths give the
-    same series and the same errors.
+    The file's bytes are read once and decoded as open(path, newline="")
+    decodes them.  A plain file, with '\\n' or '\\r\\n' line ends, no
+    quoting, no NUL and no blank or '#' line after its header, is cut
+    into columns by one split; any other file goes through csv.reader.
+    Both paths give the same series and the same errors.  A file that
+    does not decode at once goes through csv.reader too, which decodes
+    it chunk by chunk, so its decode error counts the bad byte from the
+    chunk it reads, as reading the file itself would.
     """
+    return _ingest(path)[0]
+
+
+def _ingest(path) -> tuple[MeasurementSeries, str]:
+    """ingest_csv's series and the sha256 hexdigest of the bytes it was parsed from."""
+    stream, digest = read_input(path, newline="")
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
+        text = stream.read()
     except UnicodeDecodeError:
         text = None
+        stream.seek(0)
     try:
         columns = None if text is None else _plain_columns(text)
         if columns is None:
-            columns = _csv_columns(path, text)
+            columns = _csv_columns(stream if text is None else io.StringIO(text, newline=""))
         stamps, texts = columns[:2]
         timestamps = _parse_timestamps(stamps)
         back = np.flatnonzero(timestamps[1:] <= timestamps[:-1]) + 1
@@ -270,7 +275,7 @@ def ingest_csv(path) -> MeasurementSeries:
         quality = columns[2]
         ok = {q for q in set(quality) if q.strip().lower() in _QUALITY_OK}
         mask &= np.fromiter(map(ok.__contains__, quality), bool, n)
-    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask)
+    return MeasurementSeries(timestamps=timestamps, values=values, mask=mask), digest
 
 
 def export_csv(series: MeasurementSeries, path, metadata: dict | None = None) -> None:

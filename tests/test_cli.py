@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,9 @@ from dpgrid import adversary, cli, gridsim
 from dpgrid.adversary import AttackProfile, impact_sweep, sweep_to_csv
 from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.cli import main
-from dpgrid.gridsim import Edge, GridTopology, Layer, Node, save_topology
+from dpgrid.gridsim import _AGGREGATION, Edge, GridTopology, Layer, Node, save_topology
 from dpgrid.laplace import PrivacyParams
-from dpgrid.series import export_csv, ingest_csv, synth_pmu
+from dpgrid.series import export_csv, ingest_csv, resample, synth_pmu
 
 
 def run_cli(capsys, argv):
@@ -200,9 +201,21 @@ def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeyp
         os.waitpid(-1, os.WNOHANG)
 
 
-def _fan(capsys, tmp_path, files):
+def _quarter_hours(path, seed):
+    """Two days of quarter-hour readings with a quality column, every seventh one bad: each hour
+    keeps a good reading."""
+    stamps = np.datetime_as_string(np.datetime64("2015-01-01T00:00", "m") + 15 * np.arange(192),
+                                   unit="s")
+    values = np.random.default_rng(seed).normal(7.5, 1.0, 192).tolist()
+    path.write_text("timestamp,value,quality\n" + "".join(
+        f"{stamp},{value!r},{'bad' if k % 7 == 3 else 'ok'}\n"
+        for k, (stamp, value) in enumerate(zip(stamps, values))))
+
+
+def _fan(capsys, tmp_path, files, quarter_hours=False):
     """A topology of `files` PMUs under one PDC, pmu0's edge attacked, and the --series
-    arguments of one synth-written file per PMU, in PMU order."""
+    arguments of one file per PMU, in PMU order: synth-written hourly files, or quarter-hour
+    ones."""
     params = PrivacyParams(2.0, 0.5)
     pmus = [f"pmu{i}" for i in range(files)]
     topo = GridTopology(
@@ -217,18 +230,31 @@ def _fan(capsys, tmp_path, files):
     series = []
     for i, pmu in enumerate(pmus):
         path = tmp_path / f"{pmu}.csv"
-        code, _, err = run_cli(capsys, ["synth", "--days", "2", "--seed", str(i),
-                                        "--out", str(path)])
-        assert code == 0, err
+        if quarter_hours:
+            _quarter_hours(path, i)
+        else:
+            code, _, err = run_cli(capsys, ["synth", "--days", "2", "--seed", str(i),
+                                            "--out", str(path)])
+            assert code == 0, err
         series += ["--series", f"{pmu}={path}"]
     return ["simulate", "--topology", str(tmp_path / "fan.json"), *series]
 
 
 def test_simulate_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch, fake_affinity,
                                                            tmp_path):
-    # Three shares' worth of files: 1, 2 or 3 faked CPUs cut them into that many shares.
+    _check_ingest_shares(capsys, monkeypatch, fake_affinity, tmp_path, False, "hourly_mean")
+
+
+def test_quarter_hour_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch,
+                                                                fake_affinity, tmp_path):
+    _check_ingest_shares(capsys, monkeypatch, fake_affinity, tmp_path, True, "sum")
+
+
+def _check_ingest_shares(capsys, monkeypatch, fake_affinity, tmp_path, quarter_hours, kind):
+    # Three shares' worth of files: 1, 2 or 3 faked CPUs cut them into that many shares.  Each
+    # share resamples its files to hours, as the query does.
     files = 3 * cli._FORK_FILES
-    argv = _fan(capsys, tmp_path, files)
+    argv = _fan(capsys, tmp_path, files, quarter_hours)
     paths = argv[4::2]
     real_run_query = gridsim.run_query
     seen = []  # (forks so far, series map) as each run's query starts, after ingest
@@ -242,7 +268,7 @@ def test_simulate_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch,
     for count in (1, 2, 3):
         forks = fake_affinity(range(count))
         trace_file = tmp_path / f"trace-{count}.csv"
-        code, out, err = run_cli(capsys, [*argv, "--tau", "6", "--window", "12",
+        code, out, err = run_cli(capsys, [*argv, "--kind", kind, "--tau", "6", "--window", "12",
                                           "--n-runs", "1000", "--trace-out", str(trace_file)])
         assert code == 0, err
         assert seen[-1][0] == count - 1
@@ -250,10 +276,11 @@ def test_simulate_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch,
         assert payload.pop("trace_out") == str(trace_file)
         outputs.append((payload, trace_file.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1].startswith(f"# config_hash={outputs[0][0]['config_hash']}\n".encode())
     for _, series_map in seen:
         assert list(series_map) == [f"pmu{i}" for i in range(files)]
         for path, got in zip(paths, series_map.values()):
-            want = ingest_csv(path.split("=", 1)[1])
+            want = resample(ingest_csv(path.split("=", 1)[1]), "hour", how=_AGGREGATION[kind])
             assert got.timestamps.tobytes() == want.timestamps.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
             assert got.mask.tobytes() == want.mask.tobytes()
@@ -382,6 +409,79 @@ def test_simulate_in_shares_skips_a_nodes_earlier_missing_file(capsys, fake_affi
     missing = tmp_path / "missing.csv"
     assert run_cli(capsys, [*argv[:3], "--series", f"pmu23={missing}", *argv[3:]]) == expected
     assert len(forks) == 4
+
+
+@pytest.mark.parametrize("first", [7, 10], ids=["parents-share-then-childs", "childs-share"])
+def test_resample_fault_comes_before_a_parse_fault_in_a_later_file(capsys, fake_affinity,
+                                                                   tmp_path, first):
+    # Each share resamples a file as it reads it, so under --kind sum file `first`'s hour that
+    # overflows is named before the next file's bad timestamp, in one process and in three shares
+    # of 8 files.
+    argv = [*_fan(capsys, tmp_path, 24), "--kind", "sum"]
+    faulty = _huge_quarter_hours(tmp_path).replace(tmp_path / f"pmu{first}.csv")
+    _bad_timestamp(tmp_path / f"pmu{first + 1}.csv")
+    runs = []
+    for count in (1, 3):
+        forks = fake_affinity(range(count))
+        runs.append(run_cli(capsys, argv))
+        assert len(forks) == count - 1
+    assert runs[0] == runs[1]
+    code, out, err = runs[1]
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "simulate", "error": f"{faulty}: the sum of the readings "
+                               f"in the hour from 2018-01-01T00 overflows"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _hour_rows(path, value):
+    path.write_text("timestamp,value\n" + "".join(
+        f"2018-01-0{day}T{hour:02d}:00:00,{value}\n" for day in (1, 2) for hour in range(24)))
+
+
+def test_config_hash_names_the_bytes_that_were_ingested(capsys, monkeypatch, tmp_path):
+    # A series file rewritten after ingest, before the query runs: the hash is that of the bytes
+    # the run read, not of the file as it is when the run ends.
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps(_CHAIN))
+    series = tmp_path / "pmu1.csv"
+    argv = ["simulate", "--topology", str(topology), "--series", f"pmu1={series}"]
+    runs = {}
+    for value in ("1.0", "2.0"):
+        _hour_rows(series, value)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        runs[value] = parse_json(out)
+    assert runs["1.0"]["config_hash"] != runs["2.0"]["config_hash"]
+    real_run_query = gridsim.run_query
+
+    def rewrite(*args, **kwargs):
+        _hour_rows(series, "1.0")
+        return real_run_query(*args, **kwargs)
+
+    monkeypatch.setattr(gridsim, "run_query", rewrite)
+    code, out, err = run_cli(capsys, argv)  # reads the 2.0 file left by the loop
+    assert code == 0, err
+    assert parse_json(out) == runs["2.0"]
+
+
+def test_simulate_opens_each_input_file_once(capsys, monkeypatch, fake_affinity, tmp_path):
+    # In one process, so every open is seen: the topology and each series file are read once,
+    # for the run and its config hash both.
+    argv = _fan(capsys, tmp_path, 3)
+    inputs = [argv[2], *(arg.split("=", 1)[1] for arg in argv[4::2])]
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    fake_affinity([0])
+    code, _, err = run_cli(capsys, [*argv, "--trace-out", str(tmp_path / "trace.csv")])
+    assert code == 0, err
+    assert sorted(str(f) for f in opened if str(f) in inputs) == sorted(inputs)
 
 
 # A value or an argument that argparse itself rejects: the same JSON error and exit code as a
@@ -1029,12 +1129,14 @@ def test_simulate_bad_input_exits_2_with_json(capsys, tmp_path, topology, extra,
 
 
 def test_numpy_overflow_exits_2_without_the_test_suites_warning_filter(tmp_path):
-    """The command itself makes numpy's RuntimeWarnings errors, not only pytest's filterwarnings."""
+    """The command itself makes numpy's RuntimeWarnings errors, not only pytest's filterwarnings:
+    Laplace draws at a scale of 1e308 overflow as numpy multiplies them out."""
     topology = tmp_path / "topo.json"
-    topology.write_text(json.dumps(_TWO_PMUS))
+    topology.write_text(json.dumps({**_CHAIN, "dp_policy": {"PMU": {"sensitivity": 1e308,
+                                                                    "epsilon": 1.0}}}))
     proc = subprocess.run(
         [sys.executable, "-m", "dpgrid.cli", "simulate", "--topology", str(topology),
-         *_overflowing_sum(tmp_path)],
+         "--synth-days", "2", "--trace-out", str(tmp_path / "trace.csv")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2 and proc.stdout == ""
@@ -1077,17 +1179,22 @@ def test_simulate_detects_on_readings_whose_sum_overflows(capsys, tmp_path, extr
 
 def test_simulate_averages_children_whose_sum_overflows(capsys, tmp_path):
     """The PDC's true value is the mean of two PMUs that each read 1e308, though their sum is not a
-    float; under --kind sum the same input exits 2 (non-finite-sum)."""
+    float; under --kind sum the same input exits 2, naming the edge whose true value overflows."""
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(_TWO_PMUS))
     series = _huge_hours(tmp_path)
-    code, out, err = run_cli(capsys, ["simulate", "--topology", str(path),
-                                      "--series", f"pmu1={series}", "--series", f"pmu2={series}"])
+    argv = ["simulate", "--topology", str(path), "--series", f"pmu1={series}",
+            "--series", f"pmu2={series}"]
+    code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     edges = parse_json(out)["edges"]
     summary = {"flags": 0, "mean_true": 1e308, "mean_delivered": 1e308, "mean_noise_total": 0.0,
                "attacked": False}
     assert edges == {"pdc1->m": summary, "pmu1->pdc1": summary, "pmu2->pdc1": summary}
+    code, out, err = run_cli(capsys, [*argv, "--kind", "sum"])
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "simulate", "error": "edge pdc1->m: the sum of its "
+                               "children's true values overflows"}
 
 
 def test_simulate_resamples_an_hour_whose_sum_overflows(capsys, tmp_path):

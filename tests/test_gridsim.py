@@ -431,6 +431,19 @@ def test_deviations_scale_only_the_rows_whose_sum_overflows():
         assert dev[edge, run].tobytes() == alone[0].tobytes()
 
 
+def test_run_query_names_the_edge_whose_true_sum_overflows():
+    # Each PMU's 1e308 is a float; their sum, the PDC's true value under sum, is not.  The query
+    # refuses it by name, and numpy warns of nothing.
+    huge = flat_series(1, level=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^edge pdc1->master: the sum of its children's true "
+                                             "values overflows$"):
+            run_query(two_pmu_topology(), {"pmu1": huge, "pmu2": huge}, "sum", None, seed=0)
+    trace = run_query(two_pmu_topology(), {"pmu1": huge, "pmu2": huge}, "hourly_mean", None, 0)
+    assert trace.true_values[("pdc1", "master")].tobytes() == np.full(24, 1e308).tobytes()
+
+
 @pytest.mark.parametrize("hours", [6, 24], ids=["shorter", "equal"])
 def test_run_query_flags_nothing_within_one_window(hours):
     topo = chain_topology(dp={Layer.PMU: PrivacyParams(2.0, 0.5)})
