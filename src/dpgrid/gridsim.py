@@ -178,7 +178,12 @@ class GridTopology:
 
 @dataclass
 class SimTrace:
-    """Per-edge time series produced by one simulation run."""
+    """Per-edge time series produced by one simulation run.
+
+    Each dict maps an edge's key to its row over the hours.  The injected rows of the edges
+    that carry no injections are one shared row of +0.0 that cannot be written; an attacked
+    edge's row is its own.
+    """
 
     timestamps: np.ndarray
     kind: str
@@ -407,10 +412,17 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
     # One (1, hours) row per edge; the detector's warm-up steps are never flagged.
     flags = np.zeros(delivered.shape, dtype=bool)
     if detector is not None and flags.shape[-1] > detector.window:
+        # Each edge's row is scored in one row of buffers that every edge reuses.
         w = detector.window
-        dev = _deviations(delivered.copy(), w, *_work_buffers(delivered.shape, w))
-        flags[..., w:] = dev > detector.tau
-    injected = [injected.get(i, np.zeros_like(block)) for i, block in enumerate(own)]
+        row = np.empty(delivered.shape[1:])
+        work = _work_buffers(row.shape, w)
+        for hit, flag in zip(delivered, flags):
+            np.copyto(row, hit)
+            np.greater(_deviations(row, w, *work), detector.tau, out=flag[:, w:])
+    # Every unattacked edge's injections are one shared zero row, which cannot be written.
+    zero = np.zeros(own.shape[1:])
+    zero.setflags(write=False)
+    injected = [injected.get(i, zero) for i in range(len(own))]
     keys = [e.key for e in query.edges]
     true, dp, inj, total, hit, flag = (dict(zip(keys, (block[0] for block in blocks))) for blocks
                                        in (query.true, own, injected, totals, delivered, flags))

@@ -61,7 +61,7 @@ class MeasurementSeries:
             raise ValueError("timestamps, values and mask must have equal length")
         if len(ts) > 1 and not np.all(ts[1:] > ts[:-1]):
             raise ValueError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(vals[mask])):
+        if not (np.isfinite(vals) | ~mask).all():
             raise ValueError("present values must be finite")
         vals[~mask] = np.nan
         for arr in (ts, vals, mask):
@@ -305,11 +305,14 @@ def resample(series: MeasurementSeries, period: str, how: str = "mean") -> Measu
     unit = "datetime64[h]" if period == "hour" else "datetime64[D]"
     floors = series.timestamps.astype(unit)
     grid = np.arange(floors[0], floors[-1] + 1)
-    idx = (floors - grid[0]).astype(np.int64)[series.mask]
-    values = series.values[series.mask]
+    n = len(grid)
+    # Each reading's bucket, in floors' own copy; a missing reading's is bucket n, dropped below.
+    idx = floors.view(np.int64)
+    idx -= idx[0]
+    idx[~series.mask] = n
     # bincount adds each bucket's readings left to right from 0.0, and never warns.
-    sums = np.bincount(idx, weights=values, minlength=len(grid))
-    counts = np.bincount(idx, minlength=len(grid))
+    sums = np.bincount(idx, weights=series.values, minlength=n + 1)[:n]
+    counts = np.bincount(idx, minlength=n + 1)[:n]
     over = ~np.isfinite(sums)
     if how == "sum" and over.any():
         raise ValueError(f"the sum of the readings in the {period} from {grid[over][0]} overflows")
@@ -318,14 +321,10 @@ def resample(series: MeasurementSeries, period: str, how: str = "mean") -> Measu
         # A mean whose sum overflows takes gridsim._mean's rule: the bucket's readings scaled by
         # 2**-ceil(log2 n), averaged and scaled back, so a representable mean is kept.
         scale = np.exp2(np.ceil(np.log2(np.maximum(counts, 1))))
-        scaled = np.bincount(idx, weights=values / scale[idx], minlength=len(grid))
-        out[over] = scaled[over] / counts[over] * scale[over]
-    present = counts > 0
-    return MeasurementSeries(
-        timestamps=grid.astype("datetime64[us]"),
-        values=np.where(present, out, np.nan),
-        mask=present,
-    )
+        scaled = np.bincount(idx, weights=series.values / np.append(scale, 1.0)[idx])
+        out[over] = scaled[:n][over] / counts[over] * scale[over]
+    # The series stores the grid in microseconds, and NaN in each empty bucket.
+    return MeasurementSeries(timestamps=grid, values=out, mask=counts > 0)
 
 
 def _weekday(days_since_epoch: np.ndarray) -> np.ndarray:
@@ -378,17 +377,30 @@ def synth_pmu(
     first_us = int(first.astype(np.int64))
     if first_us + (days * 24 - 1) * 3_600_000_000 > np.iinfo(np.int64).max:
         raise ValueError(f"start {start!r} plus days={days} runs past datetime64[us]'s last stamp")
-    timestamps = (start_day.astype("datetime64[h]") + np.arange(days * 24)).astype("datetime64[us]")
-    day_index = np.repeat(np.arange(days), 24) + start_day.astype(np.int64)
-    hour_of_day = np.tile(np.arange(24), days)
-
-    base = base_profile[hour_of_day]
-    is_weekend = _weekday(day_index) >= 5
-    base = base * np.where(is_weekend, weekend_factor, 1.0)
+    # Each full-size array is built in place: exact integer stamps, then one (days, 24) product
+    # profile[h] * factor[d], then the jitter multiplied in; the draws keep their order.
+    n = days * 24
+    stamps = np.arange(n, dtype=np.int64)
+    stamps *= 3_600_000_000
+    stamps += first_us
+    timestamps = stamps.view("datetime64[us]")
+    factor = np.where(_weekday(np.arange(days) + start_day.astype(np.int64)) >= 5,
+                      weekend_factor, 1.0)
+    values = np.multiply.outer(factor, base_profile).reshape(n)
 
     gen = derive_rng(seed, "synth-pmu")
-    jitter = 1.0 + noise_level * gen.standard_normal(days * 24)
-    values = base * jitter
-    mask = gen.random(days * 24) >= missing_fraction
-    values = np.where(mask, values, np.nan)
+    draws = gen.standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws *= noise_level
+        draws += 1.0
+        values *= draws
+    mask = gen.random(out=draws) >= missing_fraction
+    del draws
+    ok = np.isfinite(values) | ~mask  # the series puts NaN where a reading is missing
+    if not ok.all():
+        i = int(np.argmin(ok))
+        # Otherwise the profile times the weekend factor is not finite, which the series refuses.
+        if math.isfinite(float(base_profile[i % 24]) * float(factor[i // 24])):
+            raise ValueError(f"noise_level={noise_level!r} overflows the reading at "
+                             f"{np.datetime_as_string(timestamps[i], unit='s')}")
     return MeasurementSeries(timestamps=timestamps, values=values, mask=mask)

@@ -5,7 +5,9 @@ cross-check implementations against independent numerics.  The CSV
 reader and writers at the end are the row-by-row ingest the column-wise
 series.ingest_csv replaced and the csv.writer rows the column-wise
 csvio.write_csv replaced, kept as their references, with a per-bucket loop
-for series.resample between them; the detector's flags per block come
+for series.resample and series.synth_pmu's arrays expression by expression,
+from before it built each full-size array in place, between them; the
+detector's flags per block come
 next, from before gridsim scored a whole stacked pass in reused buffers,
 and last the per-node fold GridTopology.plaintext_attack_edges replaced
 by a rule on layers.
@@ -21,6 +23,7 @@ import warnings
 import numpy as np
 from scipy import integrate, stats
 
+from dpgrid.seeds import derive_rng
 from dpgrid.series import MeasurementSeries
 
 
@@ -216,6 +219,26 @@ def resample_by_bucket(series: MeasurementSeries, period: str, how: str) -> tupl
     values = [math.nan if count == 0 else total / count if how == "mean" else total
               for total, count in zip(sums, counts)]
     return np.array(values), np.array([count > 0 for count in counts])
+
+
+def synth_by_expressions(days: int, profile: np.ndarray, noise_level: float,
+                         missing_fraction: float, seed: int, weekend_factor: float,
+                         start: str) -> tuple:
+    """synth_pmu's (timestamps, values, mask) for a start that is a plain date: stamps from an
+    hourly arange, each hour's profile entry and weekend factor gathered per reading, then the
+    jitter and the missing readings, each step a new array."""
+    start_day = np.datetime64(start, "D")
+    timestamps = (start_day.astype("datetime64[h]") + np.arange(days * 24)).astype("datetime64[us]")
+    day_index = np.repeat(np.arange(days), 24) + start_day.astype(np.int64)
+    hour_of_day = np.tile(np.arange(24), days)
+    base = profile[hour_of_day]
+    is_weekend = (day_index + 3) % 7 >= 5  # 1970-01-01 was a Thursday
+    base = base * np.where(is_weekend, weekend_factor, 1.0)
+    gen = derive_rng(seed, "synth-pmu")
+    jitter = 1.0 + noise_level * gen.standard_normal(days * 24)
+    values = base * jitter
+    mask = gen.random(days * 24) >= missing_fraction
+    return timestamps, np.where(mask, values, np.nan), mask
 
 
 def write_csv_by_rows(path, header, rows, metadata: dict | None = None) -> None:

@@ -553,7 +553,8 @@ def test_synth_flag_changes_output_and_config_hash(capsys, tmp_path, flag, value
     ("--noise-level", "inf", "noise_level must be finite, got inf"),
     ("--noise-level", "-1", "noise_level must be non-negative, got -1.0"),
     ("--missing-fraction", "1", "missing_fraction must be in [0, 1), got 1.0"),
-], ids=["nan-noise", "inf-noise", "negative-noise", "all-missing"])
+    ("--noise-level", "1e308", "noise_level=1e+308 overflows the reading at 2015-01-01T00:00:00"),
+], ids=["nan-noise", "inf-noise", "negative-noise", "all-missing", "overflowing-noise"])
 def test_synth_bad_flag_exits_2_with_json(capsys, tmp_path, flag, value, needle):
     out_file = tmp_path / "pmu.csv"
     code, out, err = run_cli(capsys, ["synth", "--days", "1", flag, value, "--out", str(out_file)])

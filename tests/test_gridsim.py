@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from itertools import product
@@ -442,6 +443,49 @@ def test_run_query_names_the_edge_whose_true_sum_overflows():
             run_query(two_pmu_topology(), {"pmu1": huge, "pmu2": huge}, "sum", None, seed=0)
     trace = run_query(two_pmu_topology(), {"pmu1": huge, "pmu2": huge}, "hourly_mean", None, 0)
     assert trace.true_values[("pdc1", "master")].tobytes() == np.full(24, 1e308).tobytes()
+
+
+def test_unattacked_edges_share_one_read_only_zero_row():
+    """Every edge without injections holds the same row of +0.0, which cannot be written; an
+    attacked edge's row is its own."""
+    topology, series = _attacked_tree()
+    trace = run_query(topology, series, "sum", Detector(tau=6.0, window=4), seed=3)
+    attacked = trace.injected[("pmu1", "pdc1")]
+    clean = [trace.injected[k] for k in trace.edge_keys if k != ("pmu1", "pdc1")]
+    zero = np.zeros(trace.n_timesteps)
+    for row in clean:
+        assert row.tobytes() == zero.tobytes() and not row.flags.writeable
+        assert np.shares_memory(row, clean[0])
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+    assert attacked.flags.writeable and np.any(attacked != 0.0)
+    assert not any(np.shares_memory(attacked, row) for row in clean)
+
+
+def test_run_query_holds_no_full_size_copy_for_the_detector():
+    """Wide's shape, 100 PMUs under 5 PDCs over 720 hours: beside the draws, the noise totals,
+    the delivered and the true values, 0.55 MiB each, the detector scores each edge in one row
+    of buffers and the unattacked edges share one zero row, so the call stays under 4 MiB, where
+    a copy of every delivered row, its cumsum and deviations and a zero row per edge peaked at
+    4.3 MiB."""
+    pmus = [f"pmu{i:03d}" for i in range(100)]
+    topology = GridTopology(
+        nodes=(*(Node(p, Layer.PMU) for p in pmus), *(Node(f"pdc{j}", Layer.PDC) for j in range(5)),
+               Node("m", Layer.MASTER)),
+        edges=(*(Edge(p, f"pdc{i // 20}") for i, p in enumerate(pmus)),
+               *(Edge(f"pdc{j}", "m") for j in range(5))),
+        dp_policy={Layer.PMU: PrivacyParams(2.0, 0.5)},
+    )
+    series = {p: synth_pmu(days=30, seed=i) for i, p in enumerate(pmus)}
+    detector = Detector(tau=6.0, window=24)
+    run_query(topology, series, "hourly_mean", detector, seed=13)  # a first call's allocations
+    tracemalloc.start()
+    try:
+        run_query(topology, series, "hourly_mean", detector, seed=13)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0, f"run_query peaked at {peak:.2f} MiB"
 
 
 @pytest.mark.parametrize("hours", [6, 24], ids=["shorter", "equal"])

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import sys
+import tracemalloc
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ingest_csv_by_rows, resample_by_bucket
+from oracles import ingest_csv_by_rows, resample_by_bucket, synth_by_expressions
 
 from dpgrid import series
 from dpgrid.series import (
@@ -508,10 +509,11 @@ def test_resample_averages_a_bucket_whose_sum_overflows(period):
 
 
 def test_resample_scales_only_the_buckets_whose_sum_overflows():
-    # Hour 0 overflows and is averaged at 2**-2; hour 1 keeps sum / count, bit for bit.
-    ts = np.datetime64("2020-01-01T00:00", "us") + np.arange(7).astype("timedelta64[m]") * 15
-    values = np.array([1e308, 1.7e308, 1.5e308, 1e308, 0.1, 0.2, 5e-324])
-    out = resample(MeasurementSeries(ts, values, np.ones(7, dtype=bool)), "hour", how="mean")
+    # Hour 0 overflows and is averaged at 2**-2; hour 1 keeps sum / count, bit for bit, and its
+    # missing reading counts for neither.
+    ts = np.datetime64("2020-01-01T00:00", "us") + np.arange(8).astype("timedelta64[m]") * 15
+    values = np.array([1e308, 1.7e308, 1.5e308, 1e308, np.nan, 0.1, 0.2, 5e-324])
+    out = resample(MeasurementSeries(ts, values, ~np.isnan(values)), "hour", how="mean")
     hour0 = (1e308 / 4 + 1.7e308 / 4 + 1.5e308 / 4 + 1e308 / 4) / 4 * 4
     assert out.values.tobytes() == np.array([hour0, (0.1 + 0.2 + 5e-324) / 3]).tobytes()
 
@@ -622,3 +624,70 @@ def test_synth_rejects_start_plus_days_past_datetime64():
     for days in (11, 30):
         with pytest.raises(ValueError, match=rf"^start '294246-12-31' plus days={days} runs past"):
             synth_pmu(days=days, start="294246-12-31")
+
+
+@settings(derandomize=True, max_examples=300)
+@given(days=st.integers(1, 60) | st.just(1461),
+       profile=st.lists(st.floats(-1e6, 1e6), min_size=24, max_size=24),
+       weekend_factor=st.floats(-10.0, 10.0), noise_level=st.floats(0.0, 10.0),
+       missing_fraction=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32),
+       start=st.sampled_from(["2015-01-01", "2018-01-01", "2016-02-29", "1969-12-31",
+                              "9999-12-31", "200000-02-29", "-200000-02-29"]))
+def test_synth_equals_its_expression_by_expression_oracle(days, profile, weekend_factor,
+                                                          noise_level, missing_fraction, seed,
+                                                          start):
+    """The in-place build gives the stamps, values and mask of one expression per step, byte for
+    byte, and draws the same stream: from leap days, before 1970 and in far years."""
+    profile = np.array(profile)
+    s = synth_pmu(days, profile, noise_level, missing_fraction, seed, weekend_factor, start)
+    expected = synth_by_expressions(days, profile, noise_level, missing_fraction, seed,
+                                    weekend_factor, start)
+    for got, want in zip((s.timestamps, s.values, s.mask), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_series_refuses_a_non_finite_present_value_and_takes_a_missing_one(value):
+    ts = np.datetime64("2020-01-01", "us") + np.arange(3).astype("timedelta64[h]")
+    with pytest.raises(ValueError, match="^present values must be finite$"):
+        MeasurementSeries(ts, [1.0, value, 2.0], [True, True, True])
+    s = MeasurementSeries(ts, [1.0, value, 2.0], [True, False, True])
+    assert s.values.tobytes() == np.array([1.0, math.nan, 2.0]).tobytes()
+
+
+def test_synth_names_noise_level_when_a_reading_overflows():
+    message = "noise_level=1e+308 overflows the reading at 2015-01-01T00:00:00"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        synth_pmu(days=2, noise_level=1e308)
+    # 0 * inf is NaN: a zero profile entry whose jitter overflows is named too.
+    message = "noise_level=1e+308 overflows the reading at 2015-01-02T00:00:00"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        synth_pmu(days=2, noise_level=1e308, profile=np.zeros(24))
+    # A profile that is not finite is not noise_level's doing.
+    with pytest.raises(ValueError, match="^present values must be finite$"):
+        synth_pmu(days=2, profile=np.full(24, math.inf))
+
+
+def _peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_holds_one_copy_of_each_full_size_array():
+    """Four years of hours are 35,064 readings, 0.27 MiB per float array: the series' own three
+    arrays and the ones it is built from stay under 1.5 MiB, where a new array per expression
+    peaked at 2.5 MiB."""
+    synth_pmu(days=1)  # a first call's one-off allocations
+    assert _peak_mib(lambda: synth_pmu(days=1461)) <= 1.5
+
+
+def test_resample_holds_one_copy_of_each_full_size_array():
+    """Resampling four years of hours to days holds the floors as bucket indices and little else,
+    under 0.75 MiB, where copying the present readings and their indices peaked at 0.91 MiB."""
+    s = synth_pmu(days=1461)
+    resample(synth_pmu(days=1), "day")  # a first call's one-off allocations
+    assert _peak_mib(lambda: resample(s, "day")) <= 0.75
