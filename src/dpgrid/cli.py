@@ -152,7 +152,7 @@ def _cmd_simulate(args: argparse.Namespace, config_hash: Callable[[dict], str]) 
     how = _AGGREGATION.get(args.kind)  # None for a kind the query refuses
 
     def ingest(first: int, last: int) -> list:
-        # Each file's hourly series, as the query resamples it, and the sha256 of its bytes.
+        # Each file's series resampled to the hours the query takes, and the sha256 of its bytes.
         out = []
         for path in paths[first:last]:
             series, digest = _ingest(path)

@@ -27,7 +27,6 @@ from .adversary import AttackProfile, sample_attack_noise
 from .csvio import csv_lines, quote, read_input, write_json, write_shares
 from .laplace import PrivacyParams, laplace_from_uniform
 from .seeds import derive_rng
-from .series import resample
 
 QUERY_KINDS = ("hourly_mean", "sum")
 _AGGREGATION = {"hourly_mean": "mean", "sum": "sum"}
@@ -323,12 +322,18 @@ class _Query:
         if missing:
             raise ValueError(f"missing measurement series for PMU(s): {', '.join(missing)}")
         self.how = _AGGREGATION[kind]
-        hourly = {p: resample(series_map[p], "hour", how=self.how) for p in pmus}
-        self.timestamps = hourly[pmus[0]].timestamps
+        # The first PMU's stamps are the grid: whole hours from the first one on, none skipped.
+        self.timestamps = series_map[pmus[0]].timestamps
+        n = len(self.timestamps)
+        if not n or not np.array_equal(self.timestamps,
+                                       self.timestamps[0].astype("datetime64[h]") + np.arange(n)):
+            raise ValueError(f"PMU {pmus[0]}'s series is not hourly: resample it to hours first, "
+                             f"as resample(series, 'hour', how=...) does")
         for p in pmus:
-            if not np.array_equal(hourly[p].timestamps, self.timestamps):
-                raise ValueError("PMU series are not aligned on a common hourly grid")
-            gaps = int((~hourly[p].mask).sum())
+            if not np.array_equal(series_map[p].timestamps, self.timestamps):
+                raise ValueError(f"PMU {p}'s series is not on PMU {pmus[0]}'s hourly grid: PMU "
+                                 f"series must be resampled to a common hourly grid first")
+            gaps = int((~series_map[p].mask).sum())
             if gaps:
                 raise ValueError(f"PMU {p} has {gaps} empty hours after resampling")
         # Edge i leaves node i, nodes by layer and id; the MASTER sends nothing, so it is left out.
@@ -342,17 +347,19 @@ class _Query:
         self.true = np.empty((len(self.edges), 1, len(self.timestamps)))
         for i, (e, kids) in enumerate(zip(self.edges, self.children)):
             if not kids:
-                self.true[i] = hourly[e.child].values
+                self.true[i] = series_map[e.child].values
                 continue
             with np.errstate(over="ignore"):
                 self.true[i] = self._combine(self.true[kids])
             if not np.isfinite(self.true[i]).all():  # a mean is representable: only a sum overflows
                 raise ValueError(f"edge {'->'.join(e.key)}: the sum of its children's true values "
                                  f"overflows")
-        # (index, scale, generator) per noisy node, and (index, attacker, start, end, generator)
-        # per attacked edge whose window meets the run; the MASTER sends nothing, so has no stream.
-        n, policy = len(self.timestamps), topology.dp_policy
-        self.noisy = [(i, policy[layer[e.child]].scale, derive_rng(seed, "node", e.child))
+        # (index, layer, scale, generator) per noisy node, and (index, attacker, start, end,
+        # generator) per attacked edge whose window meets the run; the MASTER sends nothing, so
+        # has no stream.
+        policy = topology.dp_policy
+        self.noisy = [(i, layer[e.child], policy[layer[e.child]].scale,
+                       derive_rng(seed, "node", e.child))
                       for i, e in enumerate(self.edges) if layer[e.child] in policy]
         self.attacks = [(i, e.attacker, start, min(n, end), derive_rng(seed, "edge", *e.key))
                         for i, e in enumerate(self.edges) if e.attacker is not None
@@ -366,8 +373,13 @@ class _Query:
         hours) array (zeros outside the policy) and, by edge index, each attacked edge's injections
         (zero outside its window).  A run's row depends only on its stream and its index."""
         own = np.zeros((len(self.edges), rows, len(self.timestamps)))
-        for i, scale, gen in self.noisy:
-            own[i] = laplace_from_uniform(gen.random(own.shape[1:]), scale)
+        with np.errstate(over="raise"):
+            try:
+                for i, layer, scale, gen in self.noisy:
+                    own[i] = laplace_from_uniform(gen.random(own.shape[1:]), scale)
+            except FloatingPointError:
+                raise ValueError(f"node {self.edges[i].child} in layer {layer.name}: its Laplace "
+                                 f"draws at noise scale {scale!r} overflow") from None
         injected = {}
         for i, attacker, start, end, gen in self.attacks:
             injected[i] = block = np.zeros(own.shape[1:])
@@ -379,7 +391,7 @@ class _Query:
         """Moves every stream past its next `runs` runs, where draws(runs) would leave it.  A
         uniform double takes one PCG64 output, so each noisy node's generator advances; the attack
         noise's exponential draws take a varying number, so each skipped injection is drawn."""
-        for _, _, gen in self.noisy:
+        for *_, gen in self.noisy:
             gen.bit_generator.advance(runs * len(self.timestamps))
         for _, attacker, start, end, gen in self.attacks:
             for _ in range(runs):
@@ -399,8 +411,12 @@ def run_query(topology: GridTopology, series_map: Mapping, kind: str,
               detector: Detector | None, seed: int) -> SimTrace:
     """Simulate one pass of the measurement tree over the common hourly grid.
 
-    kind selects both the per-PMU hourly aggregation and how parents
-    combine their children ("hourly_mean" averages, "sum" sums).
+    Each PMU's series must be hourly, as resample(series, "hour",
+    how=...) returns it: every PMU on the same continuous grid of whole
+    hours, with no empty hour.  A series that is not, an empty one
+    included, is refused with a ValueError that names its PMU.  kind
+    selects how parents combine their children ("hourly_mean" averages,
+    "sum" sums).
     Randomness is fully determined by seed; each node and each
     compromised edge gets its own independent stream, so adding or
     reordering siblings never perturbs existing draws.
@@ -444,9 +460,11 @@ def detection_rate(topology: GridTopology, series_map: Mapping, kind: str,
                    detector: Detector, n_runs: int, seed: int) -> DetectionRates:
     """Monte-Carlo flag rates over paired attacked/clean runs.
 
-    The call keeps one stream per noisy node and per attacked edge, keyed
-    as in run_query; run i is the i-th block of each, so run 0 draws what
-    run_query(seed) draws, and the chunks of runs, sized by a byte budget,
+    Each PMU's series must be hourly, as resample(series, "hour",
+    how=...) returns it, and is refused by name as run_query refuses
+    it otherwise.  The call keeps one stream per noisy node and per
+    attacked edge, keyed as in run_query; run i is the i-th block of
+    each, so run 0 draws what run_query(seed) draws, and the chunks of runs, sized by a byte budget,
     do not change the rates.  A clean run is its attacked run without the
     injections; both passes walk the whole tree.  A MASTER entry in
     dp_policy draws nothing, since no edge carries the MASTER's output.

@@ -29,7 +29,7 @@ from dpgrid.gridsim import (
 )
 from dpgrid.laplace import PrivacyParams, laplace_from_uniform
 from dpgrid.seeds import derive_rng
-from dpgrid.series import MeasurementSeries, synth_pmu
+from dpgrid.series import MeasurementSeries, resample, synth_pmu
 from oracles import plaintext_edges_by_fold, rolling_deviation_by_row, rolling_flags_by_row
 from test_golden import DETECTION_SHA256, _attacked_tree, _sha256_json
 
@@ -123,12 +123,87 @@ def test_misaligned_grids_rejected():
         run_query(topo, series, "hourly_mean", None, seed=0)
 
 
-def test_empty_hours_rejected():
+def half_past_with_a_gap():
     ts = np.array(["2021-01-01T00:30", "2021-01-01T02:30"], dtype="datetime64[us]")
-    gappy = MeasurementSeries(ts, np.array([30.0, 30.0]), np.array([True, True]))
+    return MeasurementSeries(ts, np.array([30.0, 30.0]), np.array([True, True]))
+
+
+def test_empty_hours_rejected():
     topo = chain_topology()
-    with pytest.raises(ValueError, match="empty hours"):
-        run_query(topo, {"pmu1": gappy}, "hourly_mean", None, seed=0)
+    with pytest.raises(ValueError, match="PMU pmu1 has 1 empty hours"):
+        run_query(topo, {"pmu1": resample(half_past_with_a_gap(), "hour")}, "hourly_mean", None,
+                  seed=0)
+
+
+def _not_hourly(case):
+    hourly = flat_series(2)
+    stamps, values = hourly.timestamps, hourly.values
+    if case == "quarter-hour":
+        stamps = stamps[0] + np.arange(4 * len(values)) * np.timedelta64(15, "m")
+        values = np.repeat(values, 4)
+    elif case == "half-past":
+        stamps = stamps + np.timedelta64(30, "m")
+    elif case == "hour-missing":
+        stamps, values = np.delete(stamps, 5), np.delete(values, 5)
+    elif case == "empty":
+        stamps, values = stamps[:0], values[:0]
+    elif case == "half-past-with-a-gap":
+        return half_past_with_a_gap()
+    return MeasurementSeries(stamps, values, np.ones(len(values), dtype=bool))
+
+
+@pytest.mark.parametrize("faulty", ["pmu1", "pmu2"])
+@pytest.mark.parametrize("case", ["quarter-hour", "half-past", "hour-missing", "empty",
+                                  "half-past-with-a-gap"])
+def test_series_that_are_not_hourly_are_refused_by_name(case, faulty):
+    """run_query and detection_rate take hourly series and resample none: a series off the whole
+    hours, or with an hour's row left out, is refused, and the error names its PMU.  pmu1's
+    stamps are the grid, so its error says what an hourly series is; pmu2's is not on that grid."""
+    series = {"pmu1": flat_series(2), "pmu2": flat_series(2), faulty: _not_hourly(case)}
+    topo = two_pmu_topology(dp={Layer.PMU: PrivacyParams(2.0, 0.5)})
+    message = {"pmu1": "^PMU pmu1's series is not hourly: resample it to hours first",
+               "pmu2": "^PMU pmu2's series is not on PMU pmu1's hourly grid"}[faulty]
+    with pytest.raises(ValueError, match=message):
+        run_query(topo, series, "hourly_mean", Detector(6.0, 4), seed=0)
+    with pytest.raises(ValueError, match=message):
+        detection_rate(topo, series, "sum", Detector(6.0, 4), n_runs=1000, seed=0)
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(start=st.dates(), days=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(gridsim.QUERY_KINDS))
+def test_run_query_is_unchanged_by_resampling_an_hourly_series(start, days, seed, kind):
+    """resample to hours is the identity on synth_pmu's hourly series, so run_query gives the
+    same bits on a series as on its resampled copy, in every field of the trace."""
+    series = {p: synth_pmu(days=days, seed=seed + k, start=start.isoformat())
+              for k, p in enumerate(("pmu1", "pmu2"))}
+    how = gridsim._AGGREGATION[kind]
+    resampled = {p: resample(s, "hour", how=how) for p, s in series.items()}
+    params = PrivacyParams(2.0, 0.5)
+    topo = two_pmu_topology(dp={Layer.PMU: params, Layer.PDC: params},
+                            attacker=AttackProfile.solve(2.0, params), window=(3, 30))
+    a, b = (run_query(topo, s, kind, Detector(6.0, 4), seed=seed) for s in (series, resampled))
+    assert a.timestamps.tobytes() == b.timestamps.tobytes()
+    assert (a.kind, a.seed, a.edge_keys, a.plaintext_attack_edges) == \
+        (b.kind, b.seed, b.edge_keys, b.plaintext_attack_edges)
+    for name in ("true_values", "dp_noise", "injected", "noise_total", "delivered", "flags"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert list(left) == list(right)
+        assert all(left[k].tobytes() == right[k].tobytes() for k in left), name
+
+
+def test_a_laplace_draw_that_overflows_names_its_node():
+    """A finite scale near the float limit overflows as the draws are multiplied out: the query
+    names the node, its layer and the scale, and numpy warns of nothing."""
+    topo = chain_topology(dp={Layer.PMU: PrivacyParams(1e308, 1.0)})
+    message = "^node pmu1 in layer PMU: its Laplace draws at noise scale 1e\\+308 overflow$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            run_query(topo, {"pmu1": flat_series(2)}, "hourly_mean", Detector(6.0, 4), seed=0)
+        with pytest.raises(ValueError, match=message):
+            detection_rate(topo, {"pmu1": flat_series(2)}, "hourly_mean", Detector(6.0, 4),
+                           n_runs=1000, seed=0)
 
 
 # ------------------------------------------------------------ core pipeline
@@ -462,12 +537,8 @@ def test_unattacked_edges_share_one_read_only_zero_row():
     assert not any(np.shares_memory(attacked, row) for row in clean)
 
 
-def test_run_query_holds_no_full_size_copy_for_the_detector():
-    """Wide's shape, 100 PMUs under 5 PDCs over 720 hours: beside the draws, the noise totals,
-    the delivered and the true values, 0.55 MiB each, the detector scores each edge in one row
-    of buffers and the unattacked edges share one zero row, so the call stays under 4 MiB, where
-    a copy of every delivered row, its cumsum and deviations and a zero row per edge peaked at
-    4.3 MiB."""
+def _wide_tree():
+    """Wide's shape: 100 PMUs under 5 PDCs, each PMU with 720 hours of its own."""
     pmus = [f"pmu{i:03d}" for i in range(100)]
     topology = GridTopology(
         nodes=(*(Node(p, Layer.PMU) for p in pmus), *(Node(f"pdc{j}", Layer.PDC) for j in range(5)),
@@ -476,7 +547,31 @@ def test_run_query_holds_no_full_size_copy_for_the_detector():
                *(Edge(f"pdc{j}", "m") for j in range(5))),
         dp_policy={Layer.PMU: PrivacyParams(2.0, 0.5)},
     )
-    series = {p: synth_pmu(days=30, seed=i) for i, p in enumerate(pmus)}
+    return topology, {p: synth_pmu(days=30, seed=i) for i, p in enumerate(pmus)}
+
+
+def test_query_holds_one_hourly_copy_of_each_series():
+    """On wide's shape the query reads each PMU's hourly values straight into its (edges, 1,
+    hours) array of true values, 0.58 MiB, so it peaks under 1 MiB, where resampling every
+    series again and holding all the copies at once peaked at 1.93 MiB."""
+    topology, series = _wide_tree()
+    gridsim._Query(topology, series, "sum", 13)  # a first call's allocations
+    tracemalloc.start()
+    try:
+        gridsim._Query(topology, series, "sum", 13)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0, f"_Query peaked at {peak:.2f} MiB"
+
+
+def test_run_query_holds_no_full_size_copy_for_the_detector():
+    """Wide's shape, 100 PMUs under 5 PDCs over 720 hours: beside the draws, the noise totals,
+    the delivered and the true values, 0.55 MiB each, the detector scores each edge in one row
+    of buffers and the unattacked edges share one zero row, so the call stays under 4 MiB, where
+    a copy of every delivered row, its cumsum and deviations and a zero row per edge peaked at
+    4.3 MiB."""
+    topology, series = _wide_tree()
     detector = Detector(tau=6.0, window=24)
     run_query(topology, series, "hourly_mean", detector, seed=13)  # a first call's allocations
     tracemalloc.start()
