@@ -641,9 +641,14 @@ def load_topology(path) -> GridTopology:
 
 def _load_topology(path) -> tuple[GridTopology, str]:
     """load_topology's topology and the sha256 hexdigest of the bytes it was read from, decoded
-    as open(path) decodes them, so a JSON error's position is the same."""
+    as open(path) decodes them, so a JSON error's position is the same.  JSON nested deeper than
+    the parser's recursion limit is a ValueError that names the file."""
     stream, digest = read_input(path)
-    return topology_from_dict(json.load(stream)), digest
+    try:
+        data = json.load(stream)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    return topology_from_dict(data), digest
 
 
 def save_topology(topology: GridTopology, path) -> None:

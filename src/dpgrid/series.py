@@ -351,7 +351,8 @@ def synth_pmu(
     than a 'Z' or '+00:00' suffix, 'now', 'today' and a year
     datetime64[us] cannot hold are rejected, and so are a start with a
     time of day other than midnight and a start and days whose last
-    hour datetime64[us] cannot hold.
+    hour datetime64[us] cannot hold.  A profile or weekend_factor that
+    is not finite, or whose product is not, is rejected by name.
     """
     if days <= 0:
         raise ValueError(f"days must be positive, got {days}")
@@ -366,6 +367,16 @@ def synth_pmu(
     base_profile = DEFAULT_DAILY_PROFILE if profile is None else np.asarray(profile, dtype=float)
     if base_profile.shape != (24,):
         raise ValueError(f"profile must have 24 hourly entries, got shape {base_profile.shape}")
+    finite = np.isfinite(base_profile)
+    if not finite.all():
+        hour = int(np.argmin(finite))
+        raise ValueError(f"profile must be finite, got {float(base_profile[hour])} at hour {hour}")
+    if not math.isfinite(weekend_factor):
+        raise ValueError(f"weekend_factor must be finite, got {weekend_factor}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(base_profile * weekend_factor).all():
+            raise ValueError(f"weekend_factor={weekend_factor!r} overflows the profile on a "
+                             f"weekend day")
 
     try:
         first = _parse_timestamps([start])[0]  # the zones ingest takes: none, 'Z' or '+00:00'
@@ -399,8 +410,6 @@ def synth_pmu(
     ok = np.isfinite(values) | ~mask  # the series puts NaN where a reading is missing
     if not ok.all():
         i = int(np.argmin(ok))
-        # Otherwise the profile times the weekend factor is not finite, which the series refuses.
-        if math.isfinite(float(base_profile[i % 24]) * float(factor[i // 24])):
-            raise ValueError(f"noise_level={noise_level!r} overflows the reading at "
-                             f"{np.datetime_as_string(timestamps[i], unit='s')}")
+        raise ValueError(f"noise_level={noise_level!r} overflows the reading at "
+                         f"{np.datetime_as_string(timestamps[i], unit='s')}")
     return MeasurementSeries(timestamps=timestamps, values=values, mask=mask)

@@ -177,10 +177,9 @@ def test_trace_texts_follow_bits_not_equality(trace, tmp_path_factory):
     assert (tmp / "trace.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
 
 
-def test_trace_writer_holds_no_column_of_texts(tmp_path):
-    """105 edges x 720 hours of distinct values, every delivered column a copy of true_value's
-    bits: the writer's peak stays near one row, where a column of texts held per edge costs
-    about 25 MB."""
+def _to_csv_peak(path) -> int:
+    """The tracemalloc peak of writing 105 edges x 720 hours of distinct values, every delivered
+    column a copy of true_value's bits, to path."""
     rng = np.random.default_rng(0)
     keys = tuple((f"pmu{i}", "m") for i in range(105))
     columns = {name: {k: rng.standard_normal(720) for k in keys}
@@ -189,29 +188,24 @@ def test_trace_writer_holds_no_column_of_texts(tmp_path):
     trace = _direct_trace(keys, 720, columns, {k: np.zeros(720, dtype=bool) for k in keys})
     tracemalloc.start()
     try:
-        trace.to_csv(tmp_path / "trace.csv")
-        peak = tracemalloc.get_traced_memory()[1]
+        trace.to_csv(path)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_trace_writer_holds_no_column_of_texts(tmp_path):
+    """The writer's peak stays near one row, where a column of texts held per edge costs about
+    25 MB."""
+    peak = _to_csv_peak(tmp_path / "trace.csv")
     assert peak < 2 * 2**20, f"to_csv peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_trace_writer_holds_no_column_of_texts_in_three_shares(fake_affinity, tmp_path):
     """The bound above with the trace cut into three shares, two of them forked: this process
     streams its own share into the file and copies the others' spill files back as bytes."""
-    rng = np.random.default_rng(0)
-    keys = tuple((f"pmu{i}", "m") for i in range(105))
-    columns = {name: {k: rng.standard_normal(720) for k in keys}
-               for name in ("true_values", "dp_noise", "injected", "noise_total")}
-    columns["delivered"] = {k: columns["true_values"][k].copy() for k in keys}
-    trace = _direct_trace(keys, 720, columns, {k: np.zeros(720, dtype=bool) for k in keys})
     forks = fake_affinity(range(3))
-    tracemalloc.start()
-    try:
-        trace.to_csv(tmp_path / "trace.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _to_csv_peak(tmp_path / "trace.csv")
     assert len(forks) == 2
     assert len((tmp_path / "trace.csv").read_bytes().splitlines()) == 1 + 105 * 720
     assert peak < 2 * 2**20, f"to_csv peaked at {peak / 2**20:.2f} MiB"
@@ -227,25 +221,13 @@ def _expect_share_count_free(trace, fake_affinity, tmp, metadata=None):
         assert len(forks) == min(count, max(1, trace.n_timesteps)) - 1
 
 
-_SHARED_FIXTURES = settings(derandomize=True, max_examples=60,
-                            suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@_SHARED_FIXTURES
+@settings(derandomize=True, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(trace=edge_case_trace())
 def test_edge_case_trace_bytes_do_not_depend_on_share_count(trace, monkeypatch, fake_affinity,
                                                             tmp_path_factory):
     monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)  # so that a trace of a few rows splits
     _expect_share_count_free(trace, fake_affinity, tmp_path_factory.mktemp("edge"))
-
-
-@_SHARED_FIXTURES
-@given(trace=small_run())
-def test_small_run_trace_bytes_do_not_depend_on_share_count(trace, monkeypatch, fake_affinity,
-                                                            tmp_path_factory):
-    monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)
-    _expect_share_count_free(trace, fake_affinity, tmp_path_factory.mktemp("run"),
-                             {"config_hash": "beef"})
 
 
 def test_trace_texts_are_chosen_per_share(monkeypatch, fake_affinity, tmp_path):

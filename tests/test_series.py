@@ -663,9 +663,19 @@ def test_synth_names_noise_level_when_a_reading_overflows():
     message = "noise_level=1e+308 overflows the reading at 2015-01-02T00:00:00"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         synth_pmu(days=2, noise_level=1e308, profile=np.zeros(24))
-    # A profile that is not finite is not noise_level's doing.
-    with pytest.raises(ValueError, match="^present values must be finite$"):
-        synth_pmu(days=2, profile=np.full(24, math.inf))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs, message", [
+    ({"weekend_factor": 1e308, "profile": np.full(24, 1e10)},
+     "weekend_factor=1e+308 overflows the profile on a weekend day"),
+    ({"weekend_factor": math.nan}, "weekend_factor must be finite, got nan"),
+    ({"profile": np.r_[np.ones(5), math.inf, np.ones(18)]},
+     "profile must be finite, got inf at hour 5"),
+], ids=["weekend-overflow", "nan-weekend-factor", "inf-profile"])
+def test_synth_names_profile_and_weekend_factor_when_they_are_not_finite(kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        synth_pmu(days=3, **kwargs)
 
 
 def _peak_mib(call) -> float:
