@@ -7,17 +7,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgrid import cli, gridsim
+from dpgrid import adversary, cli, gridsim
 from dpgrid.adversary import AttackProfile, impact_sweep, sweep_to_csv
 from dpgrid.calibrate import DesignSpec, calibrate_epsilon
 from dpgrid.cli import main
-from dpgrid.gridsim import Edge, GridTopology, Layer, Node, save_topology
+from dpgrid.gridsim import _AGGREGATION, Edge, GridTopology, Layer, Node, save_topology
 from dpgrid.laplace import PrivacyParams
-from dpgrid.series import export_csv, ingest_csv, synth_pmu
+from dpgrid.series import export_csv, ingest_csv, resample, synth_pmu
 
 
 def run_cli(capsys, argv):
@@ -137,6 +138,30 @@ def test_sweep_rejects_empty_axis(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("theta", ["0.0", "33.18"])
+def test_sweep_bytes_do_not_depend_on_share_count(capsys, monkeypatch, fake_affinity, tmp_path,
+                                                  theta):
+    # 70 cells, cut into 1, 2 or 3 shares of 23 and 24 cells; the fork cut-off is lowered so a
+    # grid this small forks.
+    monkeypatch.setattr(adversary, "_FORK_CELLS", 20)
+    axes = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2], [0.5, 1.0, 2.0, 4.0, 8.0], [1.0, 2.5]
+    argv = ["sweep", *(f"--{name}={','.join(map(repr, axis))}" for name, axis in
+                       zip(("epsilons", "gammas", "sensitivities"), axes)), "--theta", theta]
+    outputs = []
+    for count in (1, 2, 3):
+        forks = fake_affinity(range(count))
+        out_file = tmp_path / f"sweep-{count}.csv"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(out_file)])
+        assert code == 0, err
+        assert len(forks) == count - 1
+        assert parse_json(out)["rows"] == 70
+        outputs.append(out_file.read_bytes())
+    expected = tmp_path / "points.csv"
+    sweep_to_csv(impact_sweep(*axes, theta=float(theta)), expected,
+                 metadata={"config_hash": parse_json(out)["config_hash"]})
+    assert outputs[0] == outputs[1] == outputs[2] == expected.read_bytes()
+
+
 def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, fake_affinity, tmp_path):
     # The README's 48-cell example.
     forks = fake_affinity(range(2))
@@ -147,9 +172,50 @@ def test_sweep_below_the_fork_cut_off_runs_in_one_process(capsys, fake_affinity,
     assert forks == []
 
 
-def _fan(capsys, tmp_path, files):
+@pytest.mark.parametrize("count, earlier", [(2, None), (3, None), (3, b"an earlier sweep\r\n")],
+                         ids=["2", "3", "3-over-an-earlier-file"])
+def test_faulty_cell_in_a_childs_share_exits_2_as_in_one_process(capsys, monkeypatch,
+                                                                 fake_affinity, tmp_path, count,
+                                                                 earlier):
+    # Cells 4 and 5 of 6, epsilon 1e200 at both sensitivities, have no finite mean shift; they
+    # lie in the last share, a child's, of 2 or 3.  An earlier file at --out stays as it was.
+    monkeypatch.setattr(adversary, "_FORK_CELLS", 1)
+    out_file = tmp_path / "sweep.csv"
+    if earlier is not None:
+        out_file.write_bytes(earlier)
+    argv = ["sweep", "--epsilons", "1,2,1e200", "--gammas", "2", "--sensitivities", "1e-3,1",
+            "--out", str(out_file)]
+    runs = []
+    for cpu_count in (1, count):
+        forks = fake_affinity(range(cpu_count))
+        runs.append(run_cli(capsys, argv))
+        assert len(forks) == cpu_count - 1
+        assert (out_file.read_bytes() if out_file.exists() else None) == earlier
+        assert os.listdir(tmp_path) == ([] if earlier is None else ["sweep.csv"])
+    assert runs[0] == runs[1]
+    code, out, err = runs[1]
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "sweep", "error": "noise scale out of range: the "
+                               "attacker's mean shift is not finite"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _quarter_hours(path, seed):
+    """Two days of quarter-hour readings with a quality column, every seventh one bad: each hour
+    keeps a good reading."""
+    stamps = np.datetime_as_string(np.datetime64("2015-01-01T00:00", "m") + 15 * np.arange(192),
+                                   unit="s")
+    values = np.random.default_rng(seed).normal(7.5, 1.0, 192).tolist()
+    path.write_text("timestamp,value,quality\n" + "".join(
+        f"{stamp},{value!r},{'bad' if k % 7 == 3 else 'ok'}\n"
+        for k, (stamp, value) in enumerate(zip(stamps, values))))
+
+
+def _fan(capsys, tmp_path, files, quarter_hours=False):
     """A topology of `files` PMUs under one PDC, pmu0's edge attacked, and the --series
-    arguments of one synth-written hourly file per PMU, in PMU order."""
+    arguments of one file per PMU, in PMU order: synth-written hourly files, or quarter-hour
+    ones."""
     params = PrivacyParams(2.0, 0.5)
     pmus = [f"pmu{i}" for i in range(files)]
     topo = GridTopology(
@@ -164,11 +230,60 @@ def _fan(capsys, tmp_path, files):
     series = []
     for i, pmu in enumerate(pmus):
         path = tmp_path / f"{pmu}.csv"
-        code, _, err = run_cli(capsys, ["synth", "--days", "2", "--seed", str(i),
-                                        "--out", str(path)])
-        assert code == 0, err
+        if quarter_hours:
+            _quarter_hours(path, i)
+        else:
+            code, _, err = run_cli(capsys, ["synth", "--days", "2", "--seed", str(i),
+                                            "--out", str(path)])
+            assert code == 0, err
         series += ["--series", f"{pmu}={path}"]
     return ["simulate", "--topology", str(tmp_path / "fan.json"), *series]
+
+
+def test_simulate_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch, fake_affinity,
+                                                           tmp_path):
+    _check_ingest_shares(capsys, monkeypatch, fake_affinity, tmp_path, False, "hourly_mean")
+
+
+def test_quarter_hour_bytes_do_not_depend_on_ingest_share_count(capsys, monkeypatch,
+                                                                fake_affinity, tmp_path):
+    _check_ingest_shares(capsys, monkeypatch, fake_affinity, tmp_path, True, "sum")
+
+
+def _check_ingest_shares(capsys, monkeypatch, fake_affinity, tmp_path, quarter_hours, kind):
+    # Three shares' worth of files: 1, 2 or 3 faked CPUs cut them into that many shares.  Each
+    # share resamples its files to hours, as the query does.
+    files = 3 * cli._FORK_FILES
+    argv = _fan(capsys, tmp_path, files, quarter_hours)
+    paths = argv[4::2]
+    real_run_query = gridsim.run_query
+    seen = []  # (forks so far, series map) as each run's query starts, after ingest
+
+    def spy(topology, series_map, *args, **kwargs):
+        seen.append((len(forks), series_map))
+        return real_run_query(topology, series_map, *args, **kwargs)
+
+    monkeypatch.setattr(gridsim, "run_query", spy)
+    outputs = []
+    for count in (1, 2, 3):
+        forks = fake_affinity(range(count))
+        trace_file = tmp_path / f"trace-{count}.csv"
+        code, out, err = run_cli(capsys, [*argv, "--kind", kind, "--tau", "6", "--window", "12",
+                                          "--n-runs", "1000", "--trace-out", str(trace_file)])
+        assert code == 0, err
+        assert seen[-1][0] == count - 1
+        payload = parse_json(out)
+        assert payload.pop("trace_out") == str(trace_file)
+        outputs.append((payload, trace_file.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1].startswith(f"# config_hash={outputs[0][0]['config_hash']}\n".encode())
+    for _, series_map in seen:
+        assert list(series_map) == [f"pmu{i}" for i in range(files)]
+        for path, got in zip(paths, series_map.values()):
+            want = resample(ingest_csv(path.split("=", 1)[1]), "hour", how=_AGGREGATION[kind])
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.mask.tobytes() == want.mask.tobytes()
 
 
 def test_simulate_below_the_ingest_cut_off_runs_in_one_process(capsys, fake_affinity, tmp_path):
@@ -248,6 +363,26 @@ def _missing(path):
     return f"[Errno 2] No such file or directory: '{path}'"
 
 
+@pytest.mark.parametrize("fault", [_bad_timestamp, _missing], ids=["bad-timestamp", "missing"])
+@pytest.mark.parametrize("count", [2, 3])
+def test_bad_series_file_in_a_childs_share_exits_2_as_in_one_process(capsys, fake_affinity,
+                                                                    tmp_path, fault, count):
+    # The last of 24 files lies in the last share, a child's, of 2 or 3.
+    argv = _fan(capsys, tmp_path, 24)
+    needle = fault(tmp_path / "pmu23.csv")
+    runs = []
+    for cpu_count in (1, count):
+        forks = fake_affinity(range(cpu_count))
+        runs.append(run_cli(capsys, argv))
+        assert len(forks) == cpu_count - 1
+    assert runs[0] == runs[1]
+    code, out, err = runs[1]
+    assert code == 2 and out == ""
+    assert parse_json(err) == {"command": "simulate", "error": needle}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("first, second", [(3, 20), (10, 20)], ids=["parents-share", "childs"])
 @pytest.mark.parametrize("faults", [(_bad_timestamp, _missing), (_missing, _bad_timestamp)],
                          ids=["timestamp-then-missing", "missing-then-timestamp"])
@@ -264,6 +399,16 @@ def test_first_bad_series_file_in_argument_order_is_named(capsys, fake_affinity,
     assert parse_json(err) == {"command": "simulate", "error": needle}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_in_shares_skips_a_nodes_earlier_missing_file(capsys, fake_affinity, tmp_path):
+    argv = _fan(capsys, tmp_path, 24)
+    forks = fake_affinity(range(3))
+    expected = run_cli(capsys, argv)
+    assert expected[0] == 0, expected[2]
+    missing = tmp_path / "missing.csv"
+    assert run_cli(capsys, [*argv[:3], "--series", f"pmu23={missing}", *argv[3:]]) == expected
+    assert len(forks) == 4
 
 
 @pytest.mark.parametrize("first", [7, 10], ids=["parents-share-then-childs", "childs-share"])

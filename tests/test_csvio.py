@@ -221,13 +221,25 @@ def _expect_share_count_free(trace, fake_affinity, tmp, metadata=None):
         assert len(forks) == min(count, max(1, trace.n_timesteps)) - 1
 
 
-@settings(derandomize=True, max_examples=60,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+_SHARED_FIXTURES = settings(derandomize=True, max_examples=60,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_SHARED_FIXTURES
 @given(trace=edge_case_trace())
 def test_edge_case_trace_bytes_do_not_depend_on_share_count(trace, monkeypatch, fake_affinity,
                                                             tmp_path_factory):
     monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)  # so that a trace of a few rows splits
     _expect_share_count_free(trace, fake_affinity, tmp_path_factory.mktemp("edge"))
+
+
+@_SHARED_FIXTURES
+@given(trace=small_run())
+def test_small_run_trace_bytes_do_not_depend_on_share_count(trace, monkeypatch, fake_affinity,
+                                                            tmp_path_factory):
+    monkeypatch.setattr(gridsim, "_FORK_ROWS", 1)
+    _expect_share_count_free(trace, fake_affinity, tmp_path_factory.mktemp("run"),
+                             {"config_hash": "beef"})
 
 
 def test_trace_texts_are_chosen_per_share(monkeypatch, fake_affinity, tmp_path):

@@ -815,6 +815,26 @@ def test_skip_then_draws_equals_rows_of_one_whole_call_draw(skipped, rows):
         assert part_injected[i].tobytes() == block[skipped:].tobytes()
 
 
+@pytest.mark.parametrize("n_runs", [1000, 1001])
+def test_detection_rate_does_not_depend_on_share_count(monkeypatch, fake_affinity, n_runs):
+    golden = _attacked_tree()
+    stacked = windowed_topology({("pmu1", "pdc1"): (10, 30), ("pdc1", "master"): (20, 48)})
+    # Chunks of 100 runs on the golden tree (11 nodes and edges) and of 157 on the stacked one
+    # (7): 10 or 11 chunks and 7, cut into 1, 2 or 3 shares of unequal sizes.
+    monkeypatch.setattr(gridsim, "_CHUNK_BYTES", 100 * 32 * 48 * 11)
+    rates = []
+    for count in (1, 2, 3):
+        forks = fake_affinity(range(count))
+        rates.append((
+            detection_rate(*golden, "hourly_mean", Detector(tau=6.0, window=12), n_runs, 11),
+            detection_rate(*stacked, "sum", Detector(tau=6.0, window=6), n_runs, 11),
+        ))
+        assert len(forks) == 2 * (count - 1)
+    assert rates[0] == rates[1] == rates[2]
+    if n_runs == 1000:
+        assert _sha256_json(asdict(rates[2][0])) == DETECTION_SHA256
+
+
 def failing_share(monkeypatch, fails):
     # detection_rate's chunk loop, raising in every share whose first run `fails` picks; a child
     # learns its first run from skip, the parent's share starts at run 0.
