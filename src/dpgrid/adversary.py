@@ -45,16 +45,11 @@ def _solve_tilt_ratio(gamma: float) -> float:
     lo, hi = 1.0 + 1e-12, 2.0
     while _kl_of_ratio(hi) > gamma:
         hi *= 2.0
-    return bisect_root(lambda r: _kl_of_ratio(r) > gamma, lo, hi)
-
-
-def bisect_root(below, lo: float, hi: float) -> float:
-    """Where the monotone predicate below(x) turns False in [lo, hi]; at most 200 halvings."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if below(mid):
+        if _kl_of_ratio(mid) > gamma:
             lo = mid
         else:
             hi = mid

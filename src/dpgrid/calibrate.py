@@ -1,21 +1,19 @@
 """Defender-side design: pick the privacy loss that caps stealthy bias.
 
-Given a query sensitivity, a stealth budget gamma the operator is
+Given a query sensitivity S, a stealth budget gamma the operator is
 willing to grant an undetected attacker, and the largest mean shift d
-the operation can tolerate, there is exactly one Laplace scale at which
-the attacker's best stealthy shift equals d.  Working through the
-attacker's optimum in closed form, the design reduces to a scalar root
-in t = d / k1:
+the operation can tolerate, there is exactly one Laplace scale b at
+which the attacker's best stealthy shift equals d.  The attacker's tilt
+is k1 = r b, with r the tilt ratio that gamma alone fixes
+(adversary.solve_k1(gamma, 1.0)), and its shift 2 b r / (r^2 - 1) is
+linear in b, so the design is that shift solved for b:
 
-    t - ln(1 + t / 2) = gamma        (strictly increasing in t)
+    epsilon = 2 S r / (d (r^2 - 1)),  from  b = d (r^2 - 1) / (2 r)  and  k1 = r b.
 
-after which
-
-    k1 = d / t,    b = k1 * sqrt(d / (2 k1 + d)),    epsilon = sensitivity / b.
-
-b < k1 always holds, so the paired attacker profile is well defined,
-and feeding the result back through the attacker's optimum reproduces
-theta + d; calibrate_epsilon checks that identity on every call.
+One tilt solve serves attacker and designer.  b < k1 always holds, so
+the paired attacker profile is well defined, and feeding the result
+back through the attacker's optimum reproduces theta + d;
+calibrate_epsilon checks that identity on every call.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .adversary import AttackProfile, bisect_root, optimal_impact
+from .adversary import AttackProfile, optimal_impact, solve_k1
 from .laplace import PrivacyParams
 
 _ROUND_TRIP_RTOL = 1e-6
@@ -45,10 +43,10 @@ class DesignSpec:
 
     max_deviation is the largest tolerable attacker mean shift,
     expressed in release units above theta.  gamma must lie in
-    [1e-50, 1e9], where the round trip holds: above it the attacker's
-    tilt solve loses precision, and below about 1.4e-55 (a scan over
-    gamma, sensitivity and deviation) the 200 halvings of bisect_root
-    on [gamma, 2 gamma + 2] no longer resolve t.
+    [1e-50, 1e9], where the round trip holds.  The calibration is
+    epsilon = 2 S r / (d (r^2 - 1)), with r the attacker's tilt ratio at
+    gamma; r - 1 shrinks like 1 / gamma, so above the upper bound r^2 - 1
+    keeps fewer digits than the round trip's 1e-6 needs.
     """
 
     sensitivity: float
@@ -75,21 +73,22 @@ class DesignResult:
     predicted_impact: float
 
 
-def _solve_deviation_ratio(gamma: float) -> float:
-    """Unique t > 0 with t - log1p(t / 2) == gamma."""
-    # The left side is below gamma at t = gamma and above it at 2 gamma + 2.
-    return bisect_root(lambda t: t - math.log1p(0.5 * t) < gamma, gamma, 2.0 * gamma + 2.0)
+def _design(max_deviation: float, gamma: float) -> tuple[float, float]:
+    """k1 and the noise scale b at which the attacker's shift 2 b r / (r^2 - 1) is max_deviation."""
+    r = solve_k1(gamma, 1.0)
+    scale = max_deviation * (r * r - 1.0) / (2.0 * r)
+    return r * scale, scale
 
 
 def solve_design_k1(max_deviation: float, gamma: float) -> float:
     """Tilt parameter of the worst stealthy attacker shifting by max_deviation.
 
-    Solves  d / k1 + ln(2 k1 / (2 k1 + d)) = gamma  for k1; the left
-    side is strictly decreasing in k1, so the root is unique.
+    The root k1 = d (r^2 - 1) / 2 of  d / k1 + ln(2 k1 / (2 k1 + d)) = gamma,
+    whose left side is strictly decreasing in k1, so the root is unique.
     """
     if not (max_deviation > 0.0 and gamma > 0.0) or math.isinf(gamma) or math.isinf(max_deviation):
         raise ValueError("boundary case; use limit analysis")
-    return max_deviation / _solve_deviation_ratio(float(gamma))
+    return _design(max_deviation, gamma)[0]
 
 
 def calibrate_epsilon(spec: DesignSpec) -> DesignResult:
@@ -97,9 +96,8 @@ def calibrate_epsilon(spec: DesignSpec) -> DesignResult:
     if spec.sensitivity == 0.0:
         raise ValueError("zero-sensitivity query needs no noise")
     d = spec.max_deviation
-    k1 = solve_design_k1(d, spec.gamma)
-    scale = k1 * math.sqrt(d / (2.0 * k1 + d))
-    if not (math.isfinite(scale) and scale > 0.0):  # 2 k1 + d overflows near 1e308
+    k1, scale = _design(d, spec.gamma)
+    if not (math.isfinite(scale) and scale > 0.0):  # d (r^2 - 1) overflows near 1e308
         raise ValueError(f"calibrated noise scale {scale} is not finite and positive")
     epsilon = spec.sensitivity / scale
     if epsilon < sys.float_info.min:  # subnormal: sensitivity / epsilon no longer gives scale back

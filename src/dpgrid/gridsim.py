@@ -400,10 +400,15 @@ class _Query:
     def walk(self, own: np.ndarray, injected: dict, out: np.ndarray) -> np.ndarray:
         """Writes each edge's noise_total into out[i]: the combined noise its child receives,
         the child's own draws and the edge's injection, if any; delivered is true[i] plus it."""
-        for i, kids in enumerate(self.children):
-            np.add(self._combine(out[kids]) if kids else 0.0, own[i], out=out[i])
-            if i in injected:
-                out[i] += injected[i]
+        with np.errstate(over="raise"):
+            try:
+                for i, kids in enumerate(self.children):
+                    np.add(self._combine(out[kids]) if kids else 0.0, own[i], out=out[i])
+                    if i in injected:
+                        out[i] += injected[i]
+            except FloatingPointError:
+                raise ValueError(f"edge {'->'.join(self.edges[i].key)}: its noise total "
+                                 f"overflows") from None
         return out
 
 

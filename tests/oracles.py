@@ -1,7 +1,9 @@
 """Shared numerical oracles: quadrature and goodness-of-fit helpers.
 
 These deliberately avoid the package's own closed forms so tests can
-cross-check implementations against independent numerics.  The CSV
+cross-check implementations against independent numerics.  After the
+densities comes the calibration by its own scalar root, the t-equation
+calibrate solved before it took the attacker's tilt ratio.  The CSV
 reader and writers at the end are the row-by-row ingest the column-wise
 series.ingest_csv replaced and the csv.writer rows the column-wise
 csvio.write_csv replaced, kept as their references, with a per-bucket loop
@@ -18,11 +20,14 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 from scipy import integrate, stats
 
+from dpgrid.adversary import AttackProfile, optimal_impact
+from dpgrid.laplace import PrivacyParams
 from dpgrid.seeds import derive_rng
 from dpgrid.series import MeasurementSeries
 
@@ -122,6 +127,42 @@ def log_tilted_density(theta: float, scale: float, k1: float):
         return log_norm - np.abs(z) / scale + z / k1
 
     return logpdf
+
+
+def solve_deviation_ratio(gamma: float) -> float:
+    """Unique t > 0 with t - log1p(t / 2) == gamma, t = d / k1, by at most 200 halvings."""
+    # The left side is below gamma at t = gamma and above it at 2 gamma + 2.
+    lo, hi = gamma, 2.0 * gamma + 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mid - math.log1p(0.5 * mid) < gamma:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def calibrate_by_deviation_ratio(spec, rtol: float) -> float:
+    """calibrate_epsilon's epsilon from the t-equation, k1 = d / t and b = k1 sqrt(d / (2 k1 + d)),
+    refusing each spec it cannot calibrate, with round-trip tolerance rtol, by the same exception
+    type."""
+    if spec.sensitivity == 0.0:
+        raise ValueError("zero-sensitivity query needs no noise")
+    d = spec.max_deviation
+    k1 = d / solve_deviation_ratio(spec.gamma)
+    scale = k1 * math.sqrt(d / (2.0 * k1 + d))
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"noise scale {scale}")
+    epsilon = spec.sensitivity / scale
+    if epsilon < sys.float_info.min:
+        raise ValueError(f"subnormal epsilon {epsilon}")
+    base = PrivacyParams(sensitivity=spec.sensitivity, epsilon=epsilon, theta=spec.theta)
+    predicted = optimal_impact(AttackProfile.solve(spec.gamma, base))
+    if not abs(predicted - (spec.theta + d)) <= rtol * max(1.0, abs(d)):
+        raise RuntimeError(f"round trip drifted: predicted {predicted}")
+    return epsilon
 
 
 _QUALITY_OK = {"", "ok", "good", "1"}

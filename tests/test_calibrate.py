@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgrid import calibrate
@@ -15,6 +15,7 @@ from dpgrid.calibrate import (
     solve_design_k1,
 )
 from dpgrid.laplace import PrivacyParams
+from oracles import calibrate_by_deviation_ratio
 
 
 def test_design_root_satisfies_constraint():
@@ -127,6 +128,30 @@ def test_calibration_round_trip_property(sensitivity, gamma, d):
     result = calibrate_epsilon(spec)
     profile = AttackProfile.solve(gamma, PrivacyParams(sensitivity, result.epsilon, 0.0))
     assert profile.mean_shift == pytest.approx(d, rel=1e-6)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(
+    sensitivity=st.one_of(st.just(0.0), _log_uniform(1e-300, 1e300)),
+    gamma=_log_uniform(1e-50, 1e9),
+    theta=st.sampled_from([0.0, 33.18, -5.0, 1e10]),
+    d=_log_uniform(1e-300, 1e300),
+)
+def test_calibration_matches_the_deviation_ratio_oracle(sensitivity, gamma, theta, d):
+    # Over DesignSpec's whole gamma range: refused exactly where the t-equation's calibration is,
+    # and elsewhere the same epsilon within the round trip's own tolerance.
+    spec = DesignSpec(sensitivity=sensitivity, gamma=gamma, theta=theta, max_deviation=d)
+    try:
+        want = calibrate_by_deviation_ratio(spec, calibrate._ROUND_TRIP_RTOL)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            calibrate_epsilon(spec)
+        return
+    assert calibrate_epsilon(spec).epsilon == pytest.approx(want, rel=calibrate._ROUND_TRIP_RTOL)
 
 
 def test_spec_validation():

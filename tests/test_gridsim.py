@@ -206,6 +206,26 @@ def test_a_laplace_draw_that_overflows_names_its_node():
                            n_runs=1000, seed=0)
 
 
+def test_a_noise_total_that_overflows_names_its_edge():
+    """30 PMUs' draws at a noise scale of 1e307 are floats; their sum, the PDC edge's noise total
+    under sum, is not.  The query names the edge, and numpy warns of nothing."""
+    pmus = [f"pmu{k:02d}" for k in range(30)]
+    topo = GridTopology(
+        nodes=(*(Node(p, Layer.PMU) for p in pmus), Node("pdc1", Layer.PDC),
+               Node("master", Layer.MASTER)),
+        edges=(*(Edge(p, "pdc1") for p in pmus), Edge("pdc1", "master")),
+        dp_policy={Layer.PMU: PrivacyParams(1e307, 1.0)},
+    )
+    series = dict.fromkeys(pmus, flat_series(2))
+    message = "^edge pdc1->master: its noise total overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            run_query(topo, series, "sum", Detector(6.0, 4), seed=0)
+        with pytest.raises(ValueError, match=message):
+            detection_rate(topo, series, "sum", Detector(6.0, 4), n_runs=1000, seed=0)
+
+
 # ------------------------------------------------------------ core pipeline
 
 def test_noiseless_pipeline_is_identity():
